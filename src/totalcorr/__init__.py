@@ -27,18 +27,16 @@ from .gaussian import (
     submodel,
     tc_closed_form,
 )
-from .nn import AdamState, CondGaussianHead, Mlp, adam_step, gradient_check
+from .nn import AdamState, CondGaussianHead, Mlp, adam_step
 from .estimators import (
     MiEstimatorKind,
     MiTermEstimator,
     club_train_loss,
     club_value,
     create_term_estimator,
-    infonce_value,
-    mine_loss,
-    mine_value,
-    nwj_value,
-    score_matrix,
+    infonce_bound,
+    mine_bound,
+    nwj_bound,
     train_step,
 )
 from .decomposition import (
@@ -88,17 +86,14 @@ __all__ = [
     "CondGaussianHead",
     "Mlp",
     "adam_step",
-    "gradient_check",
     "MiEstimatorKind",
     "MiTermEstimator",
     "club_train_loss",
     "club_value",
     "create_term_estimator",
-    "infonce_value",
-    "mine_loss",
-    "mine_value",
-    "nwj_value",
-    "score_matrix",
+    "infonce_bound",
+    "mine_bound",
+    "nwj_bound",
     "train_step",
     "DecompositionPlan",
     "MiTerm",

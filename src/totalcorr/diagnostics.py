@@ -19,13 +19,13 @@ import numpy as np
 from .decomposition import PathKind, build_plan, closed_form_plan_sum
 from .errors import ParameterError
 from .estimators import (
+    LOWER_BOUNDS,
     MiEstimatorKind,
     _mine_surrogate,
     club_train_loss,
     create_term_estimator,
-    infonce_loss,
-    infonce_value,
-    nwj_loss,
+    infonce_bound,
+    pair_scores,
 )
 from .gaussian import (
     equicorrelated_sigma,
@@ -58,32 +58,28 @@ def make_loss_probes(
     model = equicorrelated_sigma(dim, 0.7)
     data = sample(model, batch, rng)
     u, v = data[:, : dim // 2], data[:, dim // 2 :]
-    n = batch
-    pairs = np.concatenate((np.repeat(u, n, axis=0), np.tile(v, (n, 1))), axis=1)
     probes = []
 
-    def critic_probe(name, loss_fn):
-        est = create_term_estimator(MiEstimatorKind[name], u.shape[1], v.shape[1], rng)
+    def critic_probe(kind, loss_fn):
+        est = create_term_estimator(kind, u.shape[1], v.shape[1], rng)
 
         def loss_grad_sig():
-            out, cache = est.critic.forward(pairs)
-            loss, grad = loss_fn(out.reshape(n, n))
-            grads, _ = est.critic.backward(cache, grad.reshape(-1, 1))
+            scores, cache, _ = pair_scores(est.critic, u, v)
+            loss, grad = loss_fn(scores)
+            grads = est.critic.backward(cache, grad.reshape(-1, 1))
             return loss, grads, np.packbits(cache.mask != 0.0).tobytes()
 
-        return est, loss_grad_sig
+        return LossProbe(kind.value, est.critic.parameters(), loss_grad_sig)
 
-    mine, mine_lgs = critic_probe("MINE", lambda s: _mine_surrogate(s, 1.3))
-    probes.append(LossProbe("MINE", mine.critic.parameters(), mine_lgs))
-
-    nwj, nwj_lgs = critic_probe("NWJ", nwj_loss)
-    probes.append(LossProbe("NWJ", nwj.critic.parameters(), nwj_lgs))
-
+    # MINE's training loss moves its moving average with the scores, and its
+    # gradient treats the average as a constant; the probe holds it fixed
+    probes.append(critic_probe(MiEstimatorKind.MINE, lambda s: _mine_surrogate(s, 1.3)))
     # InfoNCE is invariant to adding any function of u to a row of scores,
     # so some coordinates (the output bias always; w1 entries whose unit has
     # a row-constant ReLU mask) carry exactly-zero gradients
-    nce, nce_lgs = critic_probe("INFONCE", infonce_loss)
-    probes.append(LossProbe("INFONCE", nce.critic.parameters(), nce_lgs))
+    for kind in (MiEstimatorKind.NWJ, MiEstimatorKind.INFONCE):
+        bound = LOWER_BOUNDS[kind]
+        probes.append(critic_probe(kind, lambda s, bound=bound: bound(s, 1.0)[1:3]))
 
     club = create_term_estimator(MiEstimatorKind.CLUB, u.shape[1], v.shape[1], rng)
 
@@ -225,5 +221,5 @@ def check_infonce_cap(trials: int = 200, seed: int = 5150) -> tuple[bool, str]:
     for _ in range(trials):
         n = int(rng.integers(2, 65))
         scores = rng.standard_normal((n, n)) * rng.uniform(0.1, 30)
-        worst_margin = max(worst_margin, infonce_value(scores) - math.log(n))
+        worst_margin = max(worst_margin, infonce_bound(scores, 1.0)[0] - math.log(n))
     return worst_margin <= 1e-12, f"max (value - ln N) = {worst_margin:.3e}"

@@ -26,6 +26,7 @@ from .nn import (
     cond_gaussian_logpdf,
     cond_gaussian_logpdf_backward,
     cond_gaussian_logpdf_matrix,
+    pack_parameters,
 )
 
 MINE_EMA_DECAY = 0.99
@@ -49,13 +50,18 @@ class MiEstimatorKind(Enum):
 
 @dataclass
 class MiTermEstimator:
-    """One trainable MI estimator: critic or conditional head plus optimizer."""
+    """One trainable MI estimator: critic or conditional head plus optimizer.
+
+    Every parameter array of the critic or head is a view into ``theta``, the
+    one vector that Adam updates.
+    """
 
     kind: MiEstimatorKind
     u_dim: int
     v_dim: int
     critic: Mlp | None
     head: CondGaussianHead | None
+    theta: np.ndarray
     adam: AdamState
     ema_denominator: float = 1.0
     _pairs_buf: np.ndarray | None = None
@@ -78,18 +84,19 @@ def create_term_estimator(
     if kind is MiEstimatorKind.CLUB:
         head = CondGaussianHead.initialize(u_dim, v_dim, hidden, rng)
         critic = None
-        params = head.parameters()
+        theta = pack_parameters((head.mu_net, head.logvar_net))
     else:
         critic = Mlp.initialize(u_dim + v_dim, hidden, 1, rng)
         head = None
-        params = critic.parameters()
+        theta = pack_parameters((critic,))
     return MiTermEstimator(
         kind=kind,
         u_dim=u_dim,
         v_dim=v_dim,
         critic=critic,
         head=head,
-        adam=AdamState.for_params(params, lr=lr),
+        theta=theta,
+        adam=AdamState.for_params(theta, lr=lr),
     )
 
 
@@ -115,32 +122,20 @@ def _pair_inputs(u: np.ndarray, v: np.ndarray, buf: np.ndarray | None) -> np.nda
     return buf
 
 
-def _score_matrix_cached(
+def pair_scores(
     critic: Mlp, u: np.ndarray, v: np.ndarray, buf: np.ndarray | None = None
 ) -> tuple[np.ndarray, MlpCache, np.ndarray]:
+    """Pairwise critic scores: entry (i, j) = critic(concat(u_i, v_j)).
+
+    The diagonal holds joint-pair scores; the off-diagonal holds
+    product-of-marginals scores. Returns the (N, N) scores, which alias the
+    critic's scratch output, the forward cache, and the pair buffer to pass
+    back in on the next call.
+    """
     n = _check_pair_batch(u, v)
     pairs = _pair_inputs(u, v, buf)
     out, cache = critic.forward(pairs)
     return out.reshape(n, n), cache, pairs
-
-
-def score_matrix(critic: Mlp, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pairwise critic scores: entry (i, j) = critic(concat(u_i, v_j)).
-
-    The diagonal holds joint-pair scores; the off-diagonal holds
-    product-of-marginals scores.
-    """
-    scores, _, _ = _score_matrix_cached(
-        critic, np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    )
-    return scores.copy()
-
-
-def _as_square(scores: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1] or scores.shape[0] < 2:
-        raise ParameterError(f"scores must be square with N >= 2, got {scores.shape}")
-    return scores
 
 
 _offdiag_masks: dict[int, np.ndarray] = {}
@@ -155,16 +150,31 @@ def _offdiag(n: int) -> np.ndarray:
     return mask
 
 
-def _logmeanexp_offdiag(scores: np.ndarray) -> float:
+# Each lower bound is one function of the (N, N) score matrix and MINE's
+# moving average: (scores, ema) -> (value, loss, d loss / d scores, new ema).
+# NWJ and InfoNCE return the moving average unchanged.
+
+
+def mine_bound(
+    scores: np.ndarray, ema: float
+) -> tuple[float, float, np.ndarray, float]:
+    """Donsker-Varadhan value: mean joint score minus log mean marginal e^score.
+
+    The loss is the bias-corrected objective of :func:`_mine_surrogate`, taken
+    at the moving average of mean_offdiag(e^scores) after this batch's update
+    (decay 0.99); its gradient treats the moving average as a constant.
+    """
     vals = scores[_offdiag(scores.shape[0])]
     shift = np.max(vals)
-    return float(shift + np.log(np.mean(np.exp(vals - shift))))
-
-
-def mine_value(scores: np.ndarray) -> float:
-    """Donsker-Varadhan form: mean joint score minus log mean marginal e^score."""
-    scores = _as_square(scores)
-    return float(np.mean(np.diag(scores))) - _logmeanexp_offdiag(scores)
+    logmeanexp = float(shift + np.log(np.mean(np.exp(vals - shift))))
+    value = float(np.mean(np.diag(scores))) - logmeanexp
+    try:
+        batch_mean = math.exp(logmeanexp)
+    except OverflowError:
+        batch_mean = math.inf
+    ema = MINE_EMA_DECAY * ema + (1.0 - MINE_EMA_DECAY) * batch_mean
+    loss, grad = _mine_surrogate(scores, ema)
+    return value, loss, grad, ema
 
 
 def _mine_surrogate(
@@ -184,60 +194,25 @@ def _mine_surrogate(
     return loss, grad
 
 
-def _mine_update(
-    scores: np.ndarray, ema_denominator: float, logmeanexp: float
-) -> tuple[float, np.ndarray, float]:
-    batch_mean = math.exp(logmeanexp)
-    new_ema = MINE_EMA_DECAY * ema_denominator + (1.0 - MINE_EMA_DECAY) * batch_mean
-    if new_ema < MINE_EMA_FLOOR:
-        raise TrainingError(
-            f"MINE moving average underflowed ({new_ema!r} < {MINE_EMA_FLOOR})",
-            kind=MiEstimatorKind.MINE.value,
-        )
-    loss, grad = _mine_surrogate(scores, new_ema)
-    return loss, grad, new_ema
-
-
-def mine_loss(
-    scores: np.ndarray, ema_denominator: float
-) -> tuple[float, np.ndarray, float]:
-    """Corrected MINE loss, its gradient w.r.t. scores, and the updated EMA.
-
-    The moving average of mean_offdiag(e^scores) is updated before use
-    (decay 0.99) and is treated as a constant by the gradient.
-    """
-    scores = _as_square(scores)
-    return _mine_update(scores, ema_denominator, _logmeanexp_offdiag(scores))
-
-
-def nwj_value(scores: np.ndarray) -> float:
+def nwj_bound(
+    scores: np.ndarray, ema: float
+) -> tuple[float, float, np.ndarray, float]:
     """f-divergence form: mean joint score minus mean marginal e^(score-1)."""
-    scores = _as_square(scores)
-    return float(np.mean(np.diag(scores))) - float(
-        np.mean(np.exp(scores[_offdiag(scores.shape[0])] - 1.0))
-    )
-
-
-def nwj_loss(scores: np.ndarray) -> tuple[float, np.ndarray]:
-    scores = _as_square(scores)
     n = scores.shape[0]
-    marg = np.exp(scores - 1.0) * _offdiag(n)
-    loss = -float(np.mean(np.diag(scores))) + float(np.sum(marg)) / (n * (n - 1))
+    offdiag = _offdiag(n)
+    marg = np.exp(scores - 1.0) * offdiag
+    joint = float(np.mean(np.diag(scores)))
+    value = joint - float(np.mean(marg[offdiag]))
+    loss = -joint + float(np.sum(marg)) / (n * (n - 1))
     grad = marg / (n * (n - 1))
     np.fill_diagonal(grad, -1.0 / n)
-    return loss, grad
+    return value, loss, grad, ema
 
 
-def infonce_value(scores: np.ndarray) -> float:
+def infonce_bound(
+    scores: np.ndarray, ema: float
+) -> tuple[float, float, np.ndarray, float]:
     """Contrastive form; bounded above by log N for any score matrix."""
-    scores = _as_square(scores)
-    n = scores.shape[0]
-    shift = scores.max(axis=1, keepdims=True)
-    logsumexp = shift[:, 0] + np.log(np.sum(np.exp(scores - shift), axis=1))
-    return float(np.mean(np.diag(scores) - logsumexp)) + math.log(n)
-
-
-def _infonce_train(scores: np.ndarray) -> tuple[float, float, np.ndarray]:
     n = scores.shape[0]
     shift = scores.max(axis=1, keepdims=True)
     expd = np.exp(scores - shift)
@@ -247,13 +222,14 @@ def _infonce_train(scores: np.ndarray) -> tuple[float, float, np.ndarray]:
     grad = expd / rowsum[:, None]
     grad[np.diag_indices(n)] -= 1.0
     grad /= n
-    return value, -value, grad
+    return value, -value, grad, ema
 
 
-def infonce_loss(scores: np.ndarray) -> tuple[float, np.ndarray]:
-    scores = _as_square(scores)
-    _, loss, grad = _infonce_train(scores)
-    return loss, grad
+LOWER_BOUNDS = {
+    MiEstimatorKind.MINE: mine_bound,
+    MiEstimatorKind.NWJ: nwj_bound,
+    MiEstimatorKind.INFONCE: infonce_bound,
+}
 
 
 def club_value(head: CondGaussianHead, u: np.ndarray, v: np.ndarray) -> float:
@@ -279,15 +255,8 @@ def club_train_loss(
     v = np.asarray(v, dtype=np.float64)
     n = _check_pair_batch(u, v)
     logpdf, cache = cond_gaussian_logpdf(head, u, v)
-    grads, _, _ = cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
+    grads = cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
     return -float(np.mean(logpdf)), grads
-
-
-_VALUE_FNS = {
-    MiEstimatorKind.MINE: mine_value,
-    MiEstimatorKind.NWJ: nwj_value,
-    MiEstimatorKind.INFONCE: infonce_value,
-}
 
 
 def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
@@ -296,8 +265,8 @@ def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if est.kind is MiEstimatorKind.CLUB:
         return club_value(est.head, u, v)
-    scores, _, est._pairs_buf = _score_matrix_cached(est.critic, u, v, est._pairs_buf)
-    return _VALUE_FNS[est.kind](scores)
+    scores, _, est._pairs_buf = pair_scores(est.critic, u, v, est._pairs_buf)
+    return LOWER_BOUNDS[est.kind](scores, est.ema_denominator)[0]
 
 
 def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
@@ -319,30 +288,23 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     if est.kind is MiEstimatorKind.CLUB:
         value = club_value(est.head, u, v)
         loss, grads = club_train_loss(est.head, u, v)
-        if not math.isfinite(loss):
-            raise TrainingError("non-finite loss", kind=est.kind.value, step=step)
-        adam_step(est.head.parameters(), grads, est.adam)
-        return value
-    scores, cache, est._pairs_buf = _score_matrix_cached(
-        est.critic, u, v, est._pairs_buf
-    )
-    if est.kind is MiEstimatorKind.MINE:
-        logmeanexp = _logmeanexp_offdiag(scores)
-        value = float(np.mean(np.diag(scores))) - logmeanexp
-        loss, grad_scores, est.ema_denominator = _mine_update(
-            scores, est.ema_denominator, logmeanexp
-        )
-    elif est.kind is MiEstimatorKind.NWJ:
-        value = nwj_value(scores)
-        loss, grad_scores = nwj_loss(scores)
     else:
-        value, loss, grad_scores = _infonce_train(scores)
+        scores, cache, est._pairs_buf = pair_scores(est.critic, u, v, est._pairs_buf)
+        value, loss, grad_scores, ema = LOWER_BOUNDS[est.kind](scores, est.ema_denominator)
+        if ema < MINE_EMA_FLOOR or math.isinf(ema):
+            raise TrainingError(
+                f"MINE moving average underflowed or overflowed: {ema!r}",
+                kind=est.kind.value,
+                step=step,
+            )
+        est.ema_denominator = ema
+        grads = est.critic.backward(cache, grad_scores.reshape(-1, 1))
     if not math.isfinite(loss):
         raise TrainingError("non-finite loss", kind=est.kind.value, step=step)
-    n = scores.shape[0]
-    grads, _ = est.critic.backward(cache, grad_scores.reshape(n * n, 1))
+    # backward's dicts follow the layout of theta (see nn.pack_parameters)
+    g = np.concatenate([grad.ravel() for grad in grads.values()])
     try:
-        adam_step(est.critic.parameters(), grads, est.adam)
+        adam_step(est.theta, g, est.adam)
     except TrainingError as exc:
         raise TrainingError(str(exc), kind=est.kind.value, step=step) from exc
     return value

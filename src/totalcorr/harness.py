@@ -12,6 +12,7 @@ purpose[, segment])) with purpose 0 = network init, 1 = training data,
 
 from __future__ import annotations
 
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,7 +169,8 @@ def evaluate_metrics(
     """(bias, variance, mse) of frozen-parameter estimates on fresh batches.
 
     Variance is the biased sample variance, so mse = bias^2 + variance holds
-    as an identity over the same evaluation sample.
+    as an identity over the same evaluation sample. Raises TrainingError if
+    any estimate is not finite.
     """
     if eval_batches < 2:
         raise ParameterError("eval_batches must be at least 2")
@@ -176,6 +178,12 @@ def evaluate_metrics(
     estimates = np.empty(eval_batches)
     for b in range(eval_batches):
         estimates[b], _ = tc_evaluate(est, sample(model, batch_size, rng))
+    bad = np.flatnonzero(~np.isfinite(estimates))
+    if bad.size:
+        raise TrainingError(
+            f"non-finite estimate {estimates[bad[0]]!r} on evaluation batch {bad[0]}",
+            kind=est.kind.value,
+        )
     bias = float(np.mean(estimates) - truth)
     variance = float(np.mean((estimates - np.mean(estimates)) ** 2))
     mse = float(np.mean((estimates - truth) ** 2))
@@ -246,35 +254,43 @@ def _run_single(
     return trace, metrics
 
 
-def _run_single_safe(args):
-    config, est_kind, path_kind = args
+def _outcome(run):
+    """(trace, metrics) of one run, or its failure message."""
     try:
-        trace, metrics = _run_single(config, est_kind, path_kind)
-        return est_kind, path_kind, trace, metrics, None
+        return run(), None
     except TrainingError as exc:
-        return est_kind, path_kind, None, [], str(exc)
+        return None, str(exc)
+
+
+def _worker_outcome(future):
+    try:
+        return _outcome(future.result)
+    except Exception as exc:  # the worker died or hit a non-training error
+        return None, "".join(traceback.format_exception(exc)).rstrip()
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run every (estimator, path) combination of the config.
 
     A training failure aborts only its own run and is recorded in
-    ``failures``. With jobs > 1 the combinations run in separate processes;
-    results are identical to a sequential run because every run owns
+    ``failures``. With jobs > 1 the combinations run in separate processes,
+    and any exception of a worker, its death included, is recorded the same
+    way; results are identical to a sequential run because every run owns
     dedicated RNG streams.
     """
-    combos = [(config, e, p) for e in config.estimators for p in config.paths]
+    combos = [(e, p) for e in config.estimators for p in config.paths]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_single_safe, combos))
+            futures = [pool.submit(_run_single, config, e, p) for e, p in combos]
+            outcomes = [_worker_outcome(f) for f in futures]
     else:
-        outcomes = [_run_single_safe(args) for args in combos]
+        outcomes = [_outcome(lambda: _run_single(config, e, p)) for e, p in combos]
     result = RunResult(traces={}, metrics=[])
-    for est_kind, path_kind, trace, metrics, error in outcomes:
+    for combo, (done, error) in zip(combos, outcomes):
         if error is not None:
-            result.failures[(est_kind, path_kind)] = error
+            result.failures[combo] = error
         else:
-            result.traces[(est_kind, path_kind)] = trace
+            result.traces[combo], metrics = done
             result.metrics.extend(metrics)
     return result
 

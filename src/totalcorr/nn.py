@@ -1,16 +1,16 @@
 """Minimal differentiable building blocks for the variational critics.
 
 A single-hidden-layer ReLU MLP with hand-written reverse-mode gradients, a
-conditional diagonal-Gaussian density head, the Adam update, and a central
-finite-difference gradient checker. Everything is plain float64 numpy and is
-bit-deterministic given identical seeds and call order.
+conditional diagonal-Gaussian density head, and the Adam update on one flat
+parameter vector. Everything is plain float64 numpy and is bit-deterministic
+given identical seeds and call order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,13 +127,8 @@ class Mlp:
         self._token += 1
         return out, MlpCache(x=x, hidden=hidden, mask=mask, owner=self, token=self._token)
 
-    def backward(
-        self,
-        cache: MlpCache,
-        dout: np.ndarray,
-        need_input_grad: bool = False,
-    ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-        """Exact gradients of the forward map; ReLU subgradient at 0 is 0."""
+    def backward(self, cache: MlpCache, dout: np.ndarray) -> dict[str, np.ndarray]:
+        """Exact parameter gradients of the forward map; ReLU subgradient at 0 is 0."""
         dout = np.asarray(dout, dtype=np.float64)
         if cache.owner is not self or cache.token != self._token:
             raise ParameterError("stale cache: backward must follow its own forward")
@@ -147,20 +142,18 @@ class Mlp:
         dw2 = dout.T @ cache.hidden
         db2 = dout.sum(axis=0)
         dpre = self._buffers(cache.x.shape[0])[2]
-        if self.out_dim == 1 and not need_input_grad:
+        if self.out_dim == 1:
             # dpre = (dout w2) * mask factorizes through the scalar output:
             # reduce t = dout * mask against x, scaling by w2 afterwards
             np.multiply(dout, cache.mask, out=dpre)
             dw1 = self.w2[0][:, None] * (dpre.T @ cache.x)
             db1 = self.w2[0] * (dout[:, 0] @ cache.mask)
-            return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}, None
-        np.matmul(dout, self.w2, out=dpre)
-        dpre *= cache.mask
-        dw1 = dpre.T @ cache.x
-        db1 = dpre.sum(axis=0)
-        grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-        dx = dpre @ self.w1 if need_input_grad else None
-        return grads, dx
+        else:
+            np.matmul(dout, self.w2, out=dpre)
+            dpre *= cache.mask
+            dw1 = dpre.T @ cache.x
+            db1 = dpre.sum(axis=0)
+        return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
 class CondGaussianHead:
@@ -229,12 +222,9 @@ def cond_gaussian_logpdf(
 
 
 def cond_gaussian_logpdf_backward(
-    head: CondGaussianHead,
-    cache: CondGaussianCache,
-    dlogpdf: np.ndarray,
-    need_input_grads: bool = False,
-) -> tuple[dict[str, np.ndarray], np.ndarray | None, np.ndarray | None]:
-    """Gradients of sum(dlogpdf * logpdf) w.r.t. head parameters (and u, v).
+    head: CondGaussianHead, cache: CondGaussianCache, dlogpdf: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Gradients of sum(dlogpdf * logpdf) w.r.t. the head parameters.
 
     The clamp contributes zero gradient outside [-10, 10].
     """
@@ -248,15 +238,11 @@ def cond_gaussian_logpdf_backward(
     dlogvar = w * (-0.5 + 0.5 * resid * resid * inv_var)
     in_range = (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
     dlogvar_raw = dlogvar * in_range
-    mu_grads, du_mu = head.mu_net.backward(cache.mu_cache, dmu, need_input_grads)
-    lv_grads, du_lv = head.logvar_net.backward(cache.logvar_cache, dlogvar_raw, need_input_grads)
+    mu_grads = head.mu_net.backward(cache.mu_cache, dmu)
+    lv_grads = head.logvar_net.backward(cache.logvar_cache, dlogvar_raw)
     grads = {f"mu.{k}": g for k, g in mu_grads.items()}
     grads.update({f"logvar.{k}": g for k, g in lv_grads.items()})
-    if need_input_grads:
-        du = du_mu + du_lv
-        dv = -w * resid * inv_var
-        return grads, du, dv
-    return grads, None, None
+    return grads
 
 
 def cond_gaussian_logpdf_matrix(
@@ -281,95 +267,57 @@ def cond_gaussian_logpdf_matrix(
     return const[:, None] + cross - quad
 
 
+def pack_parameters(nets: tuple[Mlp, ...]) -> np.ndarray:
+    """Copy the nets' arrays into one contiguous vector and rebind them as views.
+
+    The layout is net by net in ``parameters()`` order, which is also the order
+    of the gradient dicts that ``backward`` returns, so concatenating those
+    dicts gives the gradient of the returned vector.
+    """
+    theta = np.concatenate([p.ravel() for net in nets for p in net.parameters().values()])
+    offset = 0
+    for net in nets:
+        for name, p in net.parameters().items():
+            setattr(net, name, theta[offset : offset + p.size].reshape(p.shape))
+            offset += p.size
+    return theta
+
+
 @dataclass
 class AdamState:
-    """First/second-moment accumulators for one parameter dictionary."""
+    """First/second-moment vectors for one flat parameter vector."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    _scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False
-    )
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-4) -> "AdamState":
-        return cls(
-            lr=lr,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, theta: np.ndarray, lr: float = 1e-4) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), lr=lr)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied to ``params`` in place:
-    p -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
+def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, applied to ``theta`` in place:
+    theta -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ParameterError(f"gradient shape mismatch for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {name!r}", step=t)
-        m = state.m[name]
-        v = state.v[name]
-        scratch = state._scratch.get(name)
-        if scratch is None:
-            scratch = (np.empty_like(p), np.empty_like(p))
-            state._scratch[name] = scratch
-        a, b = scratch
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=a)
-        m += a
-        v *= state.beta2
-        np.multiply(g, g, out=a)
-        a *= 1.0 - state.beta2
-        v += a
-        np.divide(v, bias2, out=a)
-        np.sqrt(a, out=a)
-        a += state.eps
-        np.divide(m, a, out=b)
-        b *= state.lr / bias1
-        p -= b
-    return params, state
-
-
-def gradient_check(
-    loss_and_grad: Callable[[], tuple[float, dict[str, np.ndarray]]],
-    params: dict[str, np.ndarray],
-    h: float = 1e-5,
-) -> float:
-    """Max relative disagreement between reverse-mode and central differences.
-
-    ``loss_and_grad`` must read the live arrays in ``params`` and return the
-    scalar loss with its gradients. Each coordinate is perturbed by +-h in
-    place; the relative error is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
-    """
-    _, grads = loss_and_grad()
-    worst = 0.0
-    for name, arr in params.items():
-        flat = arr.reshape(-1)
-        gflat = np.asarray(grads[name], dtype=np.float64).reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            loss_plus, _ = loss_and_grad()
-            flat[k] = orig - h
-            loss_minus, _ = loss_and_grad()
-            flat[k] = orig
-            fd = (loss_plus - loss_minus) / (2.0 * h)
-            ad = gflat[k]
-            err = abs(ad - fd) / max(1e-8, abs(ad) + abs(fd))
-            worst = max(worst, err)
-    return worst
+    if g.shape != theta.shape:
+        raise ParameterError(f"gradient shape {g.shape} does not match parameters {theta.shape}")
+    if not np.isfinite(g).all():
+        raise TrainingError("non-finite gradient", step=t)
+    state.m *= state.beta1
+    state.m += g * (1.0 - state.beta1)
+    state.v *= state.beta2
+    a = g * g
+    a *= 1.0 - state.beta2
+    state.v += a
+    np.divide(state.v, 1.0 - state.beta2 ** t, out=a)
+    np.sqrt(a, out=a)
+    a += state.eps
+    b = state.m / a
+    b *= state.lr / (1.0 - state.beta1 ** t)
+    theta -= b

@@ -6,25 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from totalcorr.diagnostics import LossProbe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
 from totalcorr.estimators import (
+    LOWER_BOUNDS,
     MiEstimatorKind,
     club_train_loss,
     club_value,
     create_term_estimator,
     evaluate,
-    infonce_loss,
-    infonce_value,
-    mine_loss,
-    mine_value,
-    nwj_loss,
-    nwj_value,
-    score_matrix,
+    infonce_bound,
+    mine_bound,
+    nwj_bound,
+    pair_scores,
     train_step,
     _mine_surrogate,
 )
 from totalcorr.gaussian import equicorrelated_sigma, sample
-from totalcorr.nn import CondGaussianHead, Mlp, gradient_check
+from totalcorr.nn import CondGaussianHead, Mlp
 
 TRUE_MI_RHO09 = -0.5 * math.log(1.0 - 0.81)
 
@@ -46,6 +45,26 @@ def constant_head(u_dim=1, v_dim=1):
     return CondGaussianHead(zeros(), zeros())
 
 
+def scores_of(critic, u, v):
+    return pair_scores(critic, u, v)[0]
+
+
+def value(bound, scores):
+    return bound(scores, 1.0)[0]
+
+
+def critic_loss_probe(critic, u, v, loss_fn):
+    """LossProbe of loss_fn(scores) through the critic's forward and backward."""
+
+    def loss_grad_sig():
+        scores, cache, _ = pair_scores(critic, u, v)
+        loss, grad = loss_fn(scores)
+        grads = critic.backward(cache, grad.reshape(-1, 1))
+        return loss, grads, np.packbits(cache.mask != 0.0).tobytes()
+
+    return LossProbe("critic", critic.parameters(), loss_grad_sig)
+
+
 def train_on_gaussian(kind, rho=0.9, steps=4000, seed=1234, dim=2):
     model = equicorrelated_sigma(dim, rho)
     rng = np.random.default_rng(seed)
@@ -60,39 +79,39 @@ def train_on_gaussian(kind, rho=0.9, steps=4000, seed=1234, dim=2):
 class TestScoreMatrix:
     def test_constant_critic(self):
         critic = Mlp(np.zeros((3, 2)), np.zeros(3), np.zeros((1, 3)), np.array([2.5]))
-        scores = score_matrix(critic, np.zeros((4, 1)), np.zeros((4, 1)))
+        scores = scores_of(critic, np.zeros((4, 1)), np.zeros((4, 1)))
         assert np.array_equal(scores, np.full((4, 4), 2.5))
 
     def test_hand_set_linear_critic(self):
         u = np.array([[1.0], [2.0]])
         v = np.array([[3.0], [5.0]])
-        scores = score_matrix(linear_critic(), u, v)
+        scores = scores_of(linear_critic(), u, v)
         assert np.array_equal(scores, np.array([[-1.5, -3.5], [-0.5, -2.5]]))
 
     def test_shape(self):
         rng = np.random.default_rng(0)
         critic = Mlp.initialize(2, 20, 1, rng)
-        scores = score_matrix(critic, rng.standard_normal((64, 1)), rng.standard_normal((64, 1)))
+        scores = scores_of(critic, rng.standard_normal((64, 1)), rng.standard_normal((64, 1)))
         assert scores.shape == (64, 64)
 
     def test_rejects_batch_of_one(self):
         critic = Mlp.initialize(2, 4, 1, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            score_matrix(critic, np.zeros((1, 1)), np.zeros((1, 1)))
+            scores_of(critic, np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 class TestMineValue:
     def test_constant_scores_give_zero(self):
-        assert mine_value(np.full((8, 8), 3.0)) == 0.0
+        assert value(mine_bound, np.full((8, 8), 3.0)) == 0.0
 
     def test_ema_update_from_zero_scores(self):
-        _, _, ema = mine_loss(np.zeros((4, 4)), 1.0)
+        ema = mine_bound(np.zeros((4, 4)), 1.0)[3]
         assert ema == pytest.approx(0.99 + 0.01, abs=1e-15)
 
     def test_constant_score_gradient_pattern(self):
         # hand differentiation: -1/N on the diagonal, uniform mass off it
         n = 4
-        _, grad, _ = mine_loss(np.zeros((n, n)), 1.0)
+        _, _, grad, _ = mine_bound(np.zeros((n, n)), 1.0)
         assert np.allclose(np.diag(grad), -1.0 / n)
         off = grad[~np.eye(n, dtype=bool)]
         assert np.allclose(off, 1.0 / (n * (n - 1)))
@@ -103,20 +122,29 @@ class TestMineValue:
         u = rng.standard_normal((8, 1))
         v = rng.standard_normal((8, 1))
 
-        def loss_and_grad():
-            scores = score_matrix(critic, u, v)
-            loss, grad = _mine_surrogate(scores, 1.7)
-            out, cache = critic.forward(
-                np.concatenate((np.repeat(u, 8, axis=0), np.tile(v, (8, 1))), axis=1)
-            )
-            grads, _ = critic.backward(cache, grad.reshape(-1, 1))
-            return loss, grads
-
-        assert gradient_check(loss_and_grad, critic.parameters()) < 1e-4
+        probe = critic_loss_probe(critic, u, v, lambda s: _mine_surrogate(s, 1.7))
+        assert fd_report(probe).worst_raw < 1e-4
 
     def test_ema_underflow_raises(self):
+        # scores of -900 everywhere; the floor is checked by training only
+        est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, np.random.default_rng(0))
+        est.theta[:] = 0.0
+        est.critic.b2[...] = -900.0
+        est.ema_denominator = 1e-31
+        u = v = np.zeros((4, 1))
+        assert evaluate(est, u, v) == 0.0
         with pytest.raises(TrainingError, match="underflow"):
-            mine_loss(np.full((4, 4), -900.0), 1e-31)
+            train_step(est, u, v)
+
+    def test_ema_overflow_raises(self):
+        # scores of 800 everywhere: e^800 overflows the moving average
+        est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, np.random.default_rng(0))
+        est.theta[:] = 0.0
+        est.critic.b2[...] = 800.0
+        u = v = np.zeros((4, 1))
+        assert evaluate(est, u, v) == 0.0
+        with pytest.raises(TrainingError, match="overflow"):
+            train_step(est, u, v)
 
     def test_trained_value_on_correlated_gaussian(self):
         # lower bound of MI = 0.830; Adam at lr 1e-4 reaches about 60% of it
@@ -132,10 +160,10 @@ class TestMineValue:
 
 class TestNwjValue:
     def test_constant_one_gives_zero(self):
-        assert nwj_value(np.ones((4, 4))) == pytest.approx(0.0, abs=1e-15)
+        assert value(nwj_bound, np.ones((4, 4))) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_zero(self):
-        assert nwj_value(np.zeros((4, 4))) == pytest.approx(-math.exp(-1.0), abs=1e-15)
+        assert value(nwj_bound, np.zeros((4, 4))) == pytest.approx(-math.exp(-1.0), abs=1e-15)
 
     def test_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -143,16 +171,8 @@ class TestNwjValue:
         u = rng.standard_normal((8, 1))
         v = rng.standard_normal((8, 1))
 
-        def loss_and_grad():
-            scores = score_matrix(critic, u, v)
-            loss, grad = nwj_loss(scores)
-            out, cache = critic.forward(
-                np.concatenate((np.repeat(u, 8, axis=0), np.tile(v, (8, 1))), axis=1)
-            )
-            grads, _ = critic.backward(cache, grad.reshape(-1, 1))
-            return loss, grads
-
-        assert gradient_check(loss_and_grad, critic.parameters()) < 1e-4
+        probe = critic_loss_probe(critic, u, v, lambda s: nwj_bound(s, 1.0)[1:3])
+        assert fd_report(probe).worst_raw < 1e-4
 
     def test_trained_value_on_correlated_gaussian(self):
         _, values = train_on_gaussian(MiEstimatorKind.NWJ)
@@ -162,13 +182,13 @@ class TestNwjValue:
 
 class TestInfonceValue:
     def test_constant_scores_give_zero(self):
-        assert infonce_value(np.full((6, 6), -1.3)) == pytest.approx(0.0, abs=1e-12)
+        assert value(infonce_bound, np.full((6, 6), -1.3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_saturates_at_log_n(self):
         n = 64
         scores = np.full((n, n), -1000.0)
         np.fill_diagonal(scores, 1000.0)
-        assert infonce_value(scores) == pytest.approx(math.log(64), abs=1e-9)
+        assert value(infonce_bound, scores) == pytest.approx(math.log(64), abs=1e-9)
         assert math.log(64) == pytest.approx(4.1589, abs=1e-4)
 
     @settings(max_examples=200, deadline=None)
@@ -181,13 +201,13 @@ class TestInfonceValue:
     )
     def test_capped_by_log_n_on_random_matrices(self, scores):
         n = scores.shape[0]
-        assert infonce_value(scores) <= math.log(n) + 1e-12
+        assert value(infonce_bound, scores) <= math.log(n) + 1e-12
 
     def test_loss_is_negated_value(self):
         rng = np.random.default_rng(7)
         scores = rng.standard_normal((5, 5))
-        loss, _ = infonce_loss(scores)
-        assert loss == -infonce_value(scores)
+        val, loss, _, _ = infonce_bound(scores, 1.0)
+        assert loss == -val
 
     def test_trained_value_on_correlated_gaussian(self):
         _, values = train_on_gaussian(MiEstimatorKind.INFONCE)
@@ -221,10 +241,10 @@ class TestClubValue:
         u = rng.standard_normal((8, 2))
         v = rng.standard_normal((8, 1))
 
-        def loss_and_grad():
-            return club_train_loss(head, u, v)
+        def loss_grad_sig():
+            return (*club_train_loss(head, u, v), b"")
 
-        assert gradient_check(loss_and_grad, head.parameters()) < 1e-4
+        assert fd_report(LossProbe("CLUB", head.parameters(), loss_grad_sig)).worst_raw < 1e-4
 
     def test_training_reduces_nll_in_coarse_averages(self):
         model = equicorrelated_sigma(2, 0.9)
@@ -264,8 +284,8 @@ class TestBoundDirectionMetadata:
         # with equality only at c = 1
         for c in (-2.0, 0.0, 0.3, 1.0, 2.5):
             scores = np.full((6, 6), c)
-            assert mine_value(scores) == 0.0
-            nwj = nwj_value(scores)
+            assert value(mine_bound, scores) == 0.0
+            nwj = value(nwj_bound, scores)
             assert nwj <= 1e-15
             if c != 1.0:
                 assert nwj < -1e-6
@@ -279,10 +299,10 @@ class TestGradientMutationDetection:
 
         original = Mlp.backward
 
-        def corrupted(self, cache, dout, need_input_grad=False):
-            grads, dx = original(self, cache, dout, need_input_grad)
+        def corrupted(self, cache, dout):
+            grads = original(self, cache, dout)
             grads["w2"] = grads["w2"] * 1.01
-            return grads, dx
+            return grads
 
         monkeypatch.setattr(Mlp, "backward", corrupted)
         ok, _ = check_gradient_integrity(points=1)
@@ -297,6 +317,19 @@ class TestTrainStep:
             arr[...] = 0.0
         batch = np.random.default_rng(0).standard_normal((16, 2))
         assert train_step(est, batch[:, :1], batch[:, 1:]) == 0.0
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    def test_parameters_are_views_of_theta(self, kind):
+        rng = np.random.default_rng(14)
+        est = create_term_estimator(kind, 2, 1, rng)
+        params = est.parameters()
+        assert sum(p.size for p in params.values()) == est.theta.size
+        assert all(np.shares_memory(p, est.theta) for p in params.values())
+        before = est.theta.copy()
+        train_step(est, rng.standard_normal((16, 2)), rng.standard_normal((16, 1)))
+        assert not np.array_equal(est.theta, before)
+        flat = np.concatenate([p.ravel() for p in est.parameters().values()])
+        assert np.array_equal(flat, est.theta)
 
     def test_deterministic_given_seed(self):
         def run():
@@ -338,10 +371,5 @@ class TestTrainStep:
         if kind is MiEstimatorKind.CLUB:
             assert got == club_value(est.head, u, v)
         else:
-            scores = score_matrix(est.critic, u, v)
-            fn = {
-                MiEstimatorKind.MINE: mine_value,
-                MiEstimatorKind.NWJ: nwj_value,
-                MiEstimatorKind.INFONCE: infonce_value,
-            }[kind]
-            assert got == fn(scores)
+            scores = scores_of(est.critic, u, v)
+            assert got == value(LOWER_BOUNDS[kind], scores)

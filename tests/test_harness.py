@@ -1,10 +1,16 @@
+import multiprocessing
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totalcorr import harness
 from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator
-from totalcorr.errors import ParameterError, TraceParseError
+from totalcorr.errors import ParameterError, TraceParseError, TrainingError
 from totalcorr.estimators import MiEstimatorKind
 from totalcorr.gaussian import equicorrelated_sigma, tc_closed_form
 from totalcorr.harness import (
@@ -31,6 +37,32 @@ TINY = dict(
 
 def tiny_config(**overrides):
     return ExperimentConfig(**{**TINY, **overrides})
+
+
+_run_single = harness._run_single
+_marker = None  # file the healthy runs touch when done; set per test
+
+
+def _run_single_faulty(config, est_kind, path_kind):
+    """harness._run_single for pool workers: NWJ/LINE raises, MINE/LINE kills
+    its worker once the other runs have finished."""
+    if (est_kind, path_kind) == (MiEstimatorKind.NWJ, PathKind.LINE):
+        raise RuntimeError("injected failure")
+    if (est_kind, path_kind) == (MiEstimatorKind.MINE, PathKind.LINE):
+        deadline = time.monotonic() + 60.0
+        while not os.path.exists(_marker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1.0)  # let the parent collect the finished result
+        os._exit(1)
+    result = _run_single(config, est_kind, path_kind)
+    open(_marker, "a").close()
+    return result
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the patched _run_single",
+)
 
 
 def make_trace(raw, n_terms=2, bandwidth=3):
@@ -140,6 +172,12 @@ class TestEvaluateMetrics:
         with pytest.raises(ParameterError):
             evaluate_metrics(est, equicorrelated_sigma(2, 0.1), 1, np.random.default_rng(0))
 
+    def test_non_finite_estimate_raises(self):
+        est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.MINE, seed=0)
+        est.terms[1].critic.w2[...] = np.nan
+        with pytest.raises(TrainingError, match="non-finite estimate"):
+            evaluate_metrics(est, equicorrelated_sigma(4, 0.5), 4, np.random.default_rng(0), 8)
+
 
 class TestRunExperiment:
     def test_tiny_run_produces_all_combos(self):
@@ -173,6 +211,28 @@ class TestRunExperiment:
             assert a.traces[key] == b.traces[key]
             assert a.traces[key] == c.traces[key]
         assert a.metrics == b.metrics == c.metrics
+
+    @fork_only
+    def test_worker_exception_keeps_other_runs(self, monkeypatch, tmp_path):
+        cfg = tiny_config(estimators=(MiEstimatorKind.NWJ, MiEstimatorKind.CLUB))
+        sequential = run_experiment(cfg)
+        monkeypatch.setattr(harness, "_run_single", _run_single_faulty)
+        monkeypatch.setattr(sys.modules[__name__], "_marker", str(tmp_path / "done"))
+        result = run_experiment(cfg, jobs=2)
+        failed = (MiEstimatorKind.NWJ, PathKind.LINE)
+        assert list(result.failures) == [failed]
+        assert "RuntimeError: injected failure" in result.failures[failed]
+        assert len(result.traces) == 3
+        assert all(trace == sequential.traces[key] for key, trace in result.traces.items())
+        assert result.metrics == [r for r in sequential.metrics if (r.estimator, r.path) != failed]
+
+    @fork_only
+    def test_worker_death_keeps_finished_runs(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "_run_single", _run_single_faulty)
+        monkeypatch.setattr(sys.modules[__name__], "_marker", str(tmp_path / "done"))
+        result = run_experiment(tiny_config(estimators=(MiEstimatorKind.MINE,)), jobs=2)
+        assert set(result.traces) == {(MiEstimatorKind.MINE, PathKind.TREE)}
+        assert "BrokenProcessPool" in result.failures[(MiEstimatorKind.MINE, PathKind.LINE)]
 
     def test_seed_changes_results(self):
         kinds = (MiEstimatorKind.NWJ,)

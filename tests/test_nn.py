@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from totalcorr.diagnostics import LossProbe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
 from totalcorr.nn import (
     AdamState,
@@ -12,7 +13,7 @@ from totalcorr.nn import (
     cond_gaussian_logpdf,
     cond_gaussian_logpdf_backward,
     cond_gaussian_logpdf_matrix,
-    gradient_check,
+    pack_parameters,
 )
 
 
@@ -71,9 +72,8 @@ class TestMlpBackward:
         rng = np.random.default_rng(3)
         net = Mlp.initialize(2, 5, 3, rng)
         out, cache = net.forward(rng.standard_normal((4, 2)))
-        grads, dx = net.backward(cache, np.zeros_like(out), need_input_grad=True)
+        grads = net.backward(cache, np.zeros_like(out))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
-        assert np.array_equal(dx, np.zeros((4, 2)))
 
     def test_linear_region_matches_hand_gradient(self):
         # biases large enough that every preactivation is positive
@@ -86,12 +86,11 @@ class TestMlpBackward:
         x = np.array([[0.5, -0.25]])
         out, cache = net.forward(x)
         assert out[0, 0] == -0.5
-        grads, dx = net.backward(cache, np.array([[1.0]]), need_input_grad=True)
+        grads = net.backward(cache, np.array([[1.0]]))
         assert np.array_equal(grads["w2"], np.array([[10.0, 10.5]]))
         assert np.array_equal(grads["b2"], np.array([1.0]))
         assert np.array_equal(grads["w1"], np.array([[0.5, -0.25], [-0.5, 0.25]]))
         assert np.array_equal(grads["b1"], np.array([1.0, -1.0]))
-        assert np.array_equal(dx, np.array([[-2.0, -2.0]]))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -99,12 +98,12 @@ class TestMlpBackward:
         x = rng.standard_normal((6, 3))
         weights = rng.standard_normal((6, 1))
 
-        def loss_and_grad():
+        def loss_grad_sig():
             out, cache = net.forward(x)
-            grads, _ = net.backward(cache, weights)
-            return float((out * weights).sum()), grads
+            grads = net.backward(cache, weights)
+            return float((out * weights).sum()), grads, cache.mask.tobytes()
 
-        assert gradient_check(loss_and_grad, net.parameters()) < 1e-4
+        assert fd_report(LossProbe("mlp", net.parameters(), loss_grad_sig)).worst_raw < 1e-4
 
     def test_mismatched_cache_rejected(self):
         rng = np.random.default_rng(5)
@@ -131,12 +130,12 @@ class TestCondGaussian:
         v = rng.standard_normal((5, 3))
         weights = rng.standard_normal(5)
 
-        def loss_and_grad():
+        def loss_grad_sig():
             lp, cache = cond_gaussian_logpdf(head, u, v)
-            grads, _, _ = cond_gaussian_logpdf_backward(head, cache, weights)
-            return float((lp * weights).sum()), grads
+            grads = cond_gaussian_logpdf_backward(head, cache, weights)
+            return float((lp * weights).sum()), grads, b""
 
-        assert gradient_check(loss_and_grad, head.parameters()) < 1e-4
+        assert fd_report(LossProbe("head", head.parameters(), loss_grad_sig)).worst_raw < 1e-4
 
     def test_logvar_clamp_bounds_density(self):
         # a huge log-variance bias must clamp at 10 instead of exploding
@@ -151,7 +150,7 @@ class TestCondGaussian:
         zero = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
         head = CondGaussianHead(zero, big)
         _, cache = cond_gaussian_logpdf(head, np.zeros((2, 1)), np.ones((2, 1)))
-        grads, _, _ = cond_gaussian_logpdf_backward(head, cache, np.ones(2))
+        grads = cond_gaussian_logpdf_backward(head, cache, np.ones(2))
         assert np.array_equal(grads["logvar.b2"], np.zeros(1))
 
     def test_pairwise_matrix_matches_rowwise(self):
@@ -165,65 +164,74 @@ class TestCondGaussian:
                 lp, _ = cond_gaussian_logpdf(head, u[i : i + 1], v[j : j + 1])
                 assert mat[i, j] == pytest.approx(lp[0], rel=1e-10, abs=1e-10)
 
-    def test_input_gradients_available(self):
-        rng = np.random.default_rng(8)
-        head = CondGaussianHead.initialize(2, 2, 4, rng)
-        u = rng.standard_normal((3, 2))
-        v = rng.standard_normal((3, 2))
-        _, cache = cond_gaussian_logpdf(head, u, v)
-        _, du, dv = cond_gaussian_logpdf_backward(head, cache, np.ones(3), need_input_grads=True)
-        assert du.shape == (3, 2)
-        assert dv.shape == (3, 2)
+
+class TestPackParameters:
+    def test_arrays_become_views_in_parameters_order(self):
+        rng = np.random.default_rng(12)
+        nets = (Mlp.initialize(2, 3, 1, rng), Mlp.initialize(2, 3, 2, rng))
+        before = [p.copy() for net in nets for p in net.parameters().values()]
+        theta = pack_parameters(nets)
+        assert np.array_equal(theta, np.concatenate([p.ravel() for p in before]))
+        after = [p for net in nets for p in net.parameters().values()]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert all(np.shares_memory(a, theta) for a in after)
+        theta[:] = 0.0
+        assert all(not p.any() for p in after)
 
 
 class TestAdam:
     def test_zero_gradient_is_identity_but_counts(self):
-        params = {"w": np.array([1.0, -2.0])}
-        state = AdamState.for_params(params)
-        adam_step(params, {"w": np.zeros(2)}, state)
-        assert np.array_equal(params["w"], np.array([1.0, -2.0]))
+        theta = np.array([1.0, -2.0])
+        state = AdamState.for_params(theta)
+        adam_step(theta, np.zeros(2), state)
+        assert np.array_equal(theta, np.array([1.0, -2.0]))
         assert state.step_count == 1
 
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(9)
-        params = {"w": rng.standard_normal(4)}
-        before = params["w"].copy()
-        state = AdamState.for_params(params, lr=0.0)
-        adam_step(params, {"w": rng.standard_normal(4)}, state)
-        assert np.array_equal(params["w"], before)
+        theta = rng.standard_normal(4)
+        before = theta.copy()
+        state = AdamState.for_params(theta, lr=0.0)
+        adam_step(theta, rng.standard_normal(4), state)
+        assert np.array_equal(theta, before)
 
     @pytest.mark.parametrize("g", [1.0, -0.5, 3.7])
     def test_single_step_hand_formula(self, g):
         # first step with constant gradient: delta = -lr g / (|g| + eps)
-        params = {"x": np.array([0.25])}
-        state = AdamState.for_params(params, lr=1e-4)
-        adam_step(params, {"x": np.array([g])}, state)
-        delta = params["x"][0] - 0.25
+        theta = np.array([0.25])
+        state = AdamState.for_params(theta, lr=1e-4)
+        adam_step(theta, np.array([g]), state)
+        delta = theta[0] - 0.25
         assert delta == pytest.approx(-1e-4 * g / (abs(g) + 1e-8), rel=1e-12)
 
     def test_quadratic_bowl_convergence(self):
         # frozen from the convergence oracle: |theta| collapses far below 1e-2
-        params = {"t": np.array([1.0])}
-        state = AdamState.for_params(params, lr=0.01)
+        theta = np.array([1.0])
+        state = AdamState.for_params(theta, lr=0.01)
         for _ in range(5000):
-            adam_step(params, {"t": 2.0 * params["t"]}, state)
-        assert abs(params["t"][0]) < 1e-2
+            adam_step(theta, 2.0 * theta, state)
+        assert abs(theta[0]) < 1e-2
 
     def test_non_finite_gradient_raises_with_step(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState.for_params(params)
-        adam_step(params, {"w": np.array([0.5])}, state)
+        theta = np.array([1.0, 2.0])
+        state = AdamState.for_params(theta)
+        adam_step(theta, np.array([0.5, 0.5]), state)
         with pytest.raises(TrainingError, match="step=2"):
-            adam_step(params, {"w": np.array([math.nan])}, state)
+            adam_step(theta, np.array([0.5, math.nan]), state)
+
+    def test_gradient_shape_mismatch_rejected(self):
+        theta = np.zeros(3)
+        with pytest.raises(ParameterError):
+            adam_step(theta, np.zeros(2), AdamState.for_params(theta))
 
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(10)
-            params = {"w": rng.standard_normal(6)}
-            state = AdamState.for_params(params, lr=1e-3)
+            theta = rng.standard_normal(6)
+            state = AdamState.for_params(theta, lr=1e-3)
             for _ in range(50):
-                adam_step(params, {"w": rng.standard_normal(6)}, state)
-            return params["w"]
+                adam_step(theta, rng.standard_normal(6), state)
+            return theta
 
         assert np.array_equal(run(), run())
 
@@ -234,16 +242,17 @@ class TestGradientCheck:
         params = {"w": rng.standard_normal(5)}
         coef = rng.standard_normal(5)
 
-        def loss_and_grad():
-            return float(params["w"] @ coef), {"w": coef}
+        def loss_grad_sig():
+            return float(params["w"] @ coef), {"w": coef}, b""
 
-        assert gradient_check(loss_and_grad, params) < 1e-8
+        assert fd_report(LossProbe("linear", params, loss_grad_sig)).worst_raw < 1e-8
 
     def test_detects_a_corrupted_gradient(self):
         params = {"w": np.array([0.3, -0.7])}
 
-        def loss_and_grad():
+        def loss_grad_sig():
             w = params["w"]
-            return float((w * w).sum()), {"w": 2.5 * w}  # wrong scale
+            return float((w * w).sum()), {"w": 2.5 * w}, b""  # wrong scale
 
-        assert gradient_check(loss_and_grad, params) > 1e-2
+        report = fd_report(LossProbe("quadratic", params, loss_grad_sig))
+        assert report.worst_checked > 1e-2
