@@ -67,7 +67,7 @@ def make_loss_probes(
             scores, cache, _ = pair_scores(est.critic, u, v)
             loss, grad = loss_fn(scores)
             grads = est.critic.backward(cache, grad.reshape(-1, 1))
-            return loss, grads, np.packbits(cache.mask != 0.0).tobytes()
+            return loss, grads, np.packbits(cache.hidden > 0).tobytes()
 
         return LossProbe(kind.value, est.critic.parameters(), loss_grad_sig)
 
@@ -89,8 +89,8 @@ def make_loss_probes(
         logvar_raw, lv_cache = club.head.logvar_net.forward(u)
         clamp = (logvar_raw >= LOGVAR_MIN) & (logvar_raw <= LOGVAR_MAX)
         sig = (
-            np.packbits(mu_cache.mask != 0.0).tobytes()
-            + np.packbits(lv_cache.mask != 0.0).tobytes()
+            np.packbits(mu_cache.hidden > 0).tobytes()
+            + np.packbits(lv_cache.hidden > 0).tobytes()
             + np.packbits(clamp).tobytes()
         )
         return loss, grads, sig

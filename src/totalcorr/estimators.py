@@ -111,14 +111,17 @@ def _check_pair_batch(u: np.ndarray, v: np.ndarray) -> int:
 
 
 def _pair_inputs(u: np.ndarray, v: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
-    """All N*N rows concat(u_i, v_j), written into a reusable buffer."""
+    """All N*N pairs concat(u_i, v_j), feature-major in a reusable buffer.
+
+    Column i*N + j of the (d_u + d_v, N*N) result holds pair (i, j).
+    """
     n = u.shape[0]
     width = u.shape[1] + v.shape[1]
-    if buf is None or buf.shape != (n * n, width):
-        buf = np.empty((n * n, width))
-    grid = buf.reshape(n, n, width)
-    grid[:, :, : u.shape[1]] = u[:, None, :]
-    grid[:, :, u.shape[1]:] = v[None, :, :]
+    if buf is None or buf.shape != (width, n * n):
+        buf = np.empty((width, n * n))
+    grid = buf.reshape(width, n, n)
+    grid[: u.shape[1]] = u.T[:, :, None]
+    grid[u.shape[1]:] = v.T[:, None, :]
     return buf
 
 
@@ -128,13 +131,13 @@ def pair_scores(
     """Pairwise critic scores: entry (i, j) = critic(concat(u_i, v_j)).
 
     The diagonal holds joint-pair scores; the off-diagonal holds
-    product-of-marginals scores. Returns the (N, N) scores, which alias the
-    critic's scratch output, the forward cache, and the pair buffer to pass
-    back in on the next call.
+    product-of-marginals scores. Returns the (N, N) scores, a fresh array,
+    the forward cache, and the feature-major pair buffer to pass back in on
+    the next call; the critic sees the buffer's (N*N, d_u + d_v) transpose.
     """
     n = _check_pair_batch(u, v)
     pairs = _pair_inputs(u, v, buf)
-    out, cache = critic.forward(pairs)
+    out, cache = critic.forward(pairs.T)
     return out.reshape(n, n), cache, pairs
 
 
@@ -152,12 +155,13 @@ def _offdiag(n: int) -> np.ndarray:
 
 # Each lower bound is one function of the (N, N) score matrix and MINE's
 # moving average: (scores, ema) -> (value, loss, d loss / d scores, new ema).
-# NWJ and InfoNCE return the moving average unchanged.
+# NWJ and InfoNCE return the moving average unchanged. With value_only=True
+# the function returns the value alone, the same float, and skips the rest.
 
 
 def mine_bound(
-    scores: np.ndarray, ema: float
-) -> tuple[float, float, np.ndarray, float]:
+    scores: np.ndarray, ema: float, value_only: bool = False
+) -> tuple[float, float, np.ndarray, float] | float:
     """Donsker-Varadhan value: mean joint score minus log mean marginal e^score.
 
     The loss is the bias-corrected objective of :func:`_mine_surrogate`, taken
@@ -168,6 +172,8 @@ def mine_bound(
     shift = np.max(vals)
     logmeanexp = float(shift + np.log(np.mean(np.exp(vals - shift))))
     value = float(np.mean(np.diag(scores))) - logmeanexp
+    if value_only:
+        return value
     try:
         batch_mean = math.exp(logmeanexp)
     except OverflowError:
@@ -195,23 +201,22 @@ def _mine_surrogate(
 
 
 def nwj_bound(
-    scores: np.ndarray, ema: float
-) -> tuple[float, float, np.ndarray, float]:
+    scores: np.ndarray, ema: float, value_only: bool = False
+) -> tuple[float, float, np.ndarray, float] | float:
     """f-divergence form: mean joint score minus mean marginal e^(score-1)."""
     n = scores.shape[0]
-    offdiag = _offdiag(n)
-    marg = np.exp(scores - 1.0) * offdiag
-    joint = float(np.mean(np.diag(scores)))
-    value = joint - float(np.mean(marg[offdiag]))
-    loss = -joint + float(np.sum(marg)) / (n * (n - 1))
+    marg = np.exp(scores - 1.0)
+    value = float(np.mean(np.diag(scores))) - float(np.mean(marg[_offdiag(n)]))
+    if value_only:
+        return value
     grad = marg / (n * (n - 1))
     np.fill_diagonal(grad, -1.0 / n)
-    return value, loss, grad, ema
+    return value, -value, grad, ema
 
 
 def infonce_bound(
-    scores: np.ndarray, ema: float
-) -> tuple[float, float, np.ndarray, float]:
+    scores: np.ndarray, ema: float, value_only: bool = False
+) -> tuple[float, float, np.ndarray, float] | float:
     """Contrastive form; bounded above by log N for any score matrix."""
     n = scores.shape[0]
     shift = scores.max(axis=1, keepdims=True)
@@ -219,6 +224,8 @@ def infonce_bound(
     rowsum = expd.sum(axis=1)
     logsumexp = shift[:, 0] + np.log(rowsum)
     value = float(np.mean(np.diag(scores) - logsumexp)) + math.log(n)
+    if value_only:
+        return value
     grad = expd / rowsum[:, None]
     grad[np.diag_indices(n)] -= 1.0
     grad /= n
@@ -266,7 +273,7 @@ def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     if est.kind is MiEstimatorKind.CLUB:
         return club_value(est.head, u, v)
     scores, _, est._pairs_buf = pair_scores(est.critic, u, v, est._pairs_buf)
-    return LOWER_BOUNDS[est.kind](scores, est.ema_denominator)[0]
+    return LOWER_BOUNDS[est.kind](scores, est.ema_denominator, value_only=True)
 
 
 def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:

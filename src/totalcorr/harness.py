@@ -13,7 +13,9 @@ purpose[, segment])) with purpose 0 = network init, 1 = training data,
 from __future__ import annotations
 
 import traceback
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -269,20 +271,36 @@ def _worker_outcome(future):
         return None, "".join(traceback.format_exception(exc)).rstrip()
 
 
+def _pool_outcomes(config: ExperimentConfig, combos: list, jobs: int) -> list:
+    """Outcomes of the combos run in a pool of ``jobs`` processes.
+
+    A worker's death breaks the pool and fails every run still running or
+    pending in it, not only the dead worker's own. Each run failed that way
+    is run once more, alone in a fresh one-worker pool, so only a run whose
+    own worker dies again stays failed.
+    """
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_run_single, config, e, p) for e, p in combos]
+        outcomes = [_worker_outcome(f) for f in futures]
+    for i, future in enumerate(futures):
+        if isinstance(future.exception(), BrokenProcessPool):
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                outcomes[i] = _worker_outcome(pool.submit(_run_single, config, *combos[i]))
+    return outcomes
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run every (estimator, path) combination of the config.
 
     A training failure aborts only its own run and is recorded in
     ``failures``. With jobs > 1 the combinations run in separate processes,
     and any exception of a worker, its death included, is recorded the same
-    way; results are identical to a sequential run because every run owns
-    dedicated RNG streams.
+    way (see :func:`_pool_outcomes`); results are identical to a sequential
+    run because every run owns dedicated RNG streams.
     """
     combos = [(e, p) for e in config.estimators for p in config.paths]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_single, config, e, p) for e, p in combos]
-            outcomes = [_worker_outcome(f) for f in futures]
+        outcomes = _pool_outcomes(config, combos, jobs)
     else:
         outcomes = [_outcome(lambda: _run_single(config, e, p)) for e, p in combos]
     result = RunResult(traces={}, metrics=[])
@@ -310,6 +328,18 @@ def persist_trace(trace: TrainingTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+_TRACE_ROW = np.dtype(
+    [
+        ("step", np.int64),
+        ("target", np.float64),
+        ("raw", np.float64),
+        ("smoothed", np.float64),
+        ("term_index", np.int64),
+        ("term_estimate", np.float64),
+    ]
+)
+
+
 def _parse_row(path, line_number: int, line: str) -> tuple:
     fields = line.split(",")
     if len(fields) != 6:
@@ -327,15 +357,33 @@ def _parse_row(path, line_number: int, line: str) -> tuple:
         raise TraceParseError(path, line_number, str(exc)) from exc
 
 
+def _read_trace_rows(path: Path) -> np.ndarray:
+    """The data rows of a trace CSV as one structured array, header checked.
+
+    numpy parses the columns. Where it rejects the file (a wrong field count,
+    a bad number, or a spelling that only ``int``/``float`` accept, such as
+    ``1_000``), the rows are parsed line by line instead, which either names
+    the first bad line or reads the file as ``int``/``float`` do.
+    """
+    with open(path, encoding="ascii") as f:
+        if f.readline().rstrip("\r\n") != TRACE_HEADER:
+            raise TraceParseError(path, 1, f"expected header {TRACE_HEADER!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(f, dtype=_TRACE_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            pass
+    lines = path.read_text(encoding="ascii").splitlines()
+    rows = [_parse_row(path, i + 2, line) for i, line in enumerate(lines[1:]) if line]
+    return np.array(rows, dtype=_TRACE_ROW)
+
+
 def load_trace(path: str | Path) -> TrainingTrace:
     """Inverse of :func:`persist_trace`; exact round-trip of every value."""
     path = Path(path)
-    text = path.read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        raise TraceParseError(path, 1, f"expected header {TRACE_HEADER!r}")
-    rows = [_parse_row(path, i + 2, line) for i, line in enumerate(lines[1:]) if line]
-    if not rows:
+    rows = _read_trace_rows(path)
+    if not rows.size:
         return TrainingTrace(
             steps=np.empty(0, dtype=np.int64),
             target=np.empty(0),
@@ -343,29 +391,34 @@ def load_trace(path: str | Path) -> TrainingTrace:
             smoothed=np.empty(0),
             terms=np.empty((0, 0)),
         )
-    n_terms = max(r[4] for r in rows) + 1
-    if len(rows) % n_terms:
-        raise TraceParseError(path, len(lines), "row count is not a multiple of term count")
-    n_steps = len(rows) // n_terms
-    steps = np.empty(n_steps, dtype=np.int64)
-    target = np.empty(n_steps)
-    raw = np.empty(n_steps)
-    smoothed = np.empty(n_steps)
-    terms = np.empty((n_steps, n_terms))
-    for i in range(n_steps):
-        block = rows[i * n_terms : (i + 1) * n_terms]
-        first = block[0]
-        for k, row in enumerate(block):
-            line_number = 2 + i * n_terms + k
-            if row[4] != k:
-                raise TraceParseError(path, line_number, f"expected term_index {k}, got {row[4]}")
-            if row[:4] != first[:4]:
-                raise TraceParseError(
-                    path, line_number, "step columns differ within one global step"
-                )
-            terms[i, k] = row[5]
-        steps[i], target[i], raw[i], smoothed[i] = first[:4]
-    return TrainingTrace(steps=steps, target=target, raw=raw, smoothed=smoothed, terms=terms)
+    n_terms = int(rows["term_index"].max()) + 1
+    if n_terms < 1:
+        raise TraceParseError(path, 2, f"expected term_index 0, got {rows['term_index'][0]}")
+    if rows.size % n_terms:
+        raise TraceParseError(path, rows.size + 1, "row count is not a multiple of term count")
+    block = rows.reshape(-1, n_terms)
+    # every row must carry its term index and repeat its step's first row
+    bad_index = block["term_index"] != np.arange(n_terms)
+    bad_step = np.zeros(block.shape, dtype=bool)
+    for name in ("step", "target", "raw", "smoothed"):
+        bad_step |= block[name] != block[name][:, :1]
+    bad = np.flatnonzero(bad_index | bad_step)
+    if bad.size:
+        i, k = divmod(int(bad[0]), n_terms)
+        line_number = 2 + int(bad[0])
+        if bad_index[i, k]:
+            raise TraceParseError(
+                path, line_number, f"expected term_index {k}, got {block['term_index'][i, k]}"
+            )
+        raise TraceParseError(path, line_number, "step columns differ within one global step")
+    first = block[:, 0]
+    return TrainingTrace(
+        steps=first["step"].copy(),
+        target=first["target"].copy(),
+        raw=first["raw"].copy(),
+        smoothed=first["smoothed"].copy(),
+        terms=np.ascontiguousarray(block["term_estimate"]),
+    )
 
 
 def persist_metrics(rows: list[MetricsRow], path: str | Path) -> None:

@@ -27,13 +27,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class MlpCache(NamedTuple):
     """Activations saved by a forward pass for the matching backward pass.
 
-    Caches alias reusable scratch buffers, so only the most recent forward's
+    ``hidden`` is the (hidden, rows) post-ReLU activation, feature-major. It
+    aliases a reusable scratch buffer, so only the most recent forward's
     cache is valid; ``owner``/``token`` let backward reject stale ones.
     """
 
     x: np.ndarray
     hidden: np.ndarray
-    mask: np.ndarray
     owner: "Mlp"
     token: int
 
@@ -41,9 +41,13 @@ class MlpCache(NamedTuple):
 class Mlp:
     """y = w2 @ relu(w1 @ x + b1) + b2, applied row-wise to a batch.
 
-    Large per-batch activations are written into buffers reused across calls
-    (training touches them tens of thousands of times), which is why backward
-    only accepts the cache of the latest forward.
+    Hidden activations are kept feature-major, (hidden, rows), so that the
+    work on a large batch runs as contiguous matmuls and in-place passes
+    when ``x`` is the transpose of a contiguous (features, rows) array, as
+    the critic's pair grid is. The hidden activations and the ReLU mask live
+    in buffers reused across calls (training touches them tens of thousands
+    of times), which is why backward only accepts the cache of the latest
+    forward.
     """
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
@@ -57,7 +61,7 @@ class Mlp:
             raise ParameterError("bias shapes do not match weight shapes")
         if self.w2.shape[1] != self.w1.shape[0]:
             raise ParameterError("hidden dimensions of w1 and w2 disagree")
-        self._scratch: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._token = 0
 
     @classmethod
@@ -95,64 +99,62 @@ class Mlp:
         """Live parameter arrays, keyed for the optimizer."""
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def _buffers(
-        self, batch: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _buffers(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """(hidden, mask) scratch arrays of shape (hidden_dim, batch)."""
         bufs = self._scratch.get(batch)
         if bufs is None:
-            bufs = (
-                np.empty((batch, self.hidden_dim)),
-                np.empty((batch, self.out_dim)),
-                np.empty((batch, self.hidden_dim)),
-                np.empty((batch, self.hidden_dim)),
-            )
+            bufs = (np.empty((self.hidden_dim, batch)), np.empty((self.hidden_dim, batch)))
             self._scratch[batch] = bufs
         return bufs
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
+        """(rows, out_dim) outputs of the (rows, in_dim) batch ``x``, and the cache."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ParameterError(
                 f"input must be (batch, {self.in_dim}), got {x.shape}"
             )
-        hidden, out, _, mask = self._buffers(x.shape[0])
-        np.matmul(x, self.w1.T, out=hidden)
-        hidden += self.b1
+        hidden = self._buffers(x.shape[0])[0]
+        np.matmul(self.w1, x.T, out=hidden)
+        hidden += self.b1[:, None]
         np.maximum(hidden, 0.0, out=hidden)
-        # 0/1 mask is relu'(pre) with the subgradient at 0 defined as 0;
-        # kept in float so backward multiplies without a dtype cast
-        np.sign(hidden, out=mask)
-        np.matmul(hidden, self.w2.T, out=out)
-        out += self.b2
+        out = (self.w2 @ hidden).T + self.b2
         self._token += 1
-        return out, MlpCache(x=x, hidden=hidden, mask=mask, owner=self, token=self._token)
+        return out, MlpCache(x=x, hidden=hidden, owner=self, token=self._token)
 
     def backward(self, cache: MlpCache, dout: np.ndarray) -> dict[str, np.ndarray]:
         """Exact parameter gradients of the forward map; ReLU subgradient at 0 is 0."""
         dout = np.asarray(dout, dtype=np.float64)
         if cache.owner is not self or cache.token != self._token:
             raise ParameterError("stale cache: backward must follow its own forward")
+        x = cache.x
+        rows = x.shape[0]
         if (
-            cache.x.ndim != 2
-            or cache.x.shape[1] != self.in_dim
-            or cache.hidden.shape != (cache.x.shape[0], self.hidden_dim)
-            or dout.shape != (cache.x.shape[0], self.out_dim)
+            x.ndim != 2
+            or x.shape[1] != self.in_dim
+            or cache.hidden.shape != (self.hidden_dim, rows)
+            or dout.shape != (rows, self.out_dim)
         ):
             raise ParameterError("cache does not match this network and output gradient")
-        dw2 = dout.T @ cache.hidden
+        # 0/1 float mask: relu'(pre) with the subgradient at 0 defined as 0
+        mask = np.greater(cache.hidden, 0.0, out=self._buffers(rows)[1])
+        dw2 = dout.T @ cache.hidden.T
         db2 = dout.sum(axis=0)
-        dpre = self._buffers(cache.x.shape[0])[2]
         if self.out_dim == 1:
-            # dpre = (dout w2) * mask factorizes through the scalar output:
-            # reduce t = dout * mask against x, scaling by w2 afterwards
-            np.multiply(dout, cache.mask, out=dpre)
-            dw1 = self.w2[0][:, None] * (dpre.T @ cache.x)
-            db1 = self.w2[0] * (dout[:, 0] @ cache.mask)
+            # dpre = w2^T dout^T * mask factorizes through the scalar output:
+            # one matmul mask @ [x * dout, dout] gives dw1 and db1 up to the
+            # factor w2, applied afterwards
+            rhs = np.empty((self.in_dim + 1, rows))
+            np.multiply(x.T, dout.T, out=rhs[:-1])
+            rhs[-1] = dout[:, 0]
+            g = mask @ rhs.T
+            dw1 = self.w2[0][:, None] * g[:, :-1]
+            db1 = self.w2[0] * g[:, -1]
         else:
-            np.matmul(dout, self.w2, out=dpre)
-            dpre *= cache.mask
-            dw1 = dpre.T @ cache.x
-            db1 = dpre.sum(axis=0)
+            dpre = self.w2.T @ dout.T
+            dpre *= mask
+            dw1 = dpre @ x
+            db1 = dpre.sum(axis=1)
         return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 

@@ -59,6 +59,13 @@ def _run_single_faulty(config, est_kind, path_kind):
     return result
 
 
+def _run_single_dying(config, est_kind, path_kind):
+    """harness._run_single for pool workers: MINE/TREE kills its worker at once."""
+    if (est_kind, path_kind) == (MiEstimatorKind.MINE, PathKind.TREE):
+        os._exit(1)
+    return _run_single(config, est_kind, path_kind)
+
+
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="workers must inherit the patched _run_single",
@@ -234,6 +241,20 @@ class TestRunExperiment:
         assert set(result.traces) == {(MiEstimatorKind.MINE, PathKind.TREE)}
         assert "BrokenProcessPool" in result.failures[(MiEstimatorKind.MINE, PathKind.LINE)]
 
+    @fork_only
+    def test_worker_death_fails_only_its_own_run(self, monkeypatch):
+        # the death breaks the pool while the other runs are running or pending
+        cfg = tiny_config(estimators=(MiEstimatorKind.MINE, MiEstimatorKind.NWJ))
+        sequential = run_experiment(cfg)
+        monkeypatch.setattr(harness, "_run_single", _run_single_dying)
+        result = run_experiment(cfg, jobs=2)
+        dead = (MiEstimatorKind.MINE, PathKind.TREE)
+        assert list(result.failures) == [dead]
+        assert "BrokenProcessPool" in result.failures[dead]
+        assert set(result.traces) == set(sequential.traces) - {dead}
+        assert all(trace == sequential.traces[key] for key, trace in result.traces.items())
+        assert result.metrics == [r for r in sequential.metrics if (r.estimator, r.path) != dead]
+
     def test_seed_changes_results(self):
         kinds = (MiEstimatorKind.NWJ,)
         a = run_experiment(tiny_config(estimators=kinds, seed=0))
@@ -334,6 +355,32 @@ class TestTracePersistence:
         )
         with pytest.raises(TraceParseError, match="line 3"):
             load_trace(path)
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1"], 3, "expected 6 fields, got 5"),
+            (["1,2.0,0.5,0.5,-1,0.25"], 2, "expected term_index 0, got -1"),
+            (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "2,2.0,0.5,0.5,1,0.25",
+              "2,2.0,0.5,0.5,0,0.25"], 4, "expected term_index 0, got 1"),
+            (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "2,2.0,0.5,0.5,0,0.25"],
+             4, "row count is not a multiple of term count"),
+            (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "2,2.0,0.5,0.5,0,0.25",
+              "3,2.0,0.5,0.5,1,0.25"], 5, "step columns differ"),
+        ],
+    )
+    def test_malformed_rows_name_their_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([harness.TRACE_HEADER, *rows]) + "\n")
+        with pytest.raises(TraceParseError, match=f"line {line}.*{message}"):
+            load_trace(path)
+
+    def test_numbers_python_reads_are_accepted(self, tmp_path):
+        # int() and float() accept digit separators, which numpy's parser does not
+        path = tmp_path / "trace.csv"
+        path.write_text(harness.TRACE_HEADER + "\n1,2_0.0,0.5,0.5,0,0.25\n")
+        trace = load_trace(path)
+        assert trace.target[0] == 20.0 and trace.terms[0, 0] == 0.25
 
     def test_values_carry_17_significant_digits(self, tmp_path):
         trace = make_trace([1 / 3], n_terms=1)

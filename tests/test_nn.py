@@ -5,6 +5,7 @@ import pytest
 
 from totalcorr.diagnostics import LossProbe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
+from totalcorr.estimators import _pair_inputs
 from totalcorr.nn import (
     AdamState,
     CondGaussianHead,
@@ -101,9 +102,17 @@ class TestMlpBackward:
         def loss_grad_sig():
             out, cache = net.forward(x)
             grads = net.backward(cache, weights)
-            return float((out * weights).sum()), grads, cache.mask.tobytes()
+            return float((out * weights).sum()), grads, np.packbits(cache.hidden > 0).tobytes()
 
         assert fd_report(LossProbe("mlp", net.parameters(), loss_grad_sig)).worst_raw < 1e-4
+
+    def test_stale_cache_rejected(self):
+        rng = np.random.default_rng(14)
+        net = Mlp.initialize(2, 4, 1, rng)
+        _, stale = net.forward(rng.standard_normal((3, 2)))
+        net.forward(rng.standard_normal((3, 2)))
+        with pytest.raises(ParameterError, match="stale"):
+            net.backward(stale, np.zeros((3, 1)))
 
     def test_mismatched_cache_rejected(self):
         rng = np.random.default_rng(5)
@@ -112,6 +121,52 @@ class TestMlpBackward:
         _, cache = other.forward(rng.standard_normal((2, 3)))
         with pytest.raises(ParameterError):
             net.backward(cache, np.zeros((2, 1)))
+
+
+def plain_mlp(net, x, dout):
+    """Row-major numpy forward and hand gradients of the same MLP."""
+    pre = x @ net.w1.T + net.b1
+    hidden = np.maximum(pre, 0.0)
+    out = hidden @ net.w2.T + net.b2
+    dpre = (dout @ net.w2) * (pre > 0.0)
+    grads = {
+        "w1": dpre.T @ x,
+        "b1": dpre.sum(axis=0),
+        "w2": dout.T @ hidden,
+        "b2": dout.sum(axis=0),
+    }
+    return out, grads
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    """max |got - want| <= rtol * max |want|, over the whole array."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestMlpAgainstPlainNumpy:
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    @pytest.mark.parametrize("layout", ["row-major", "pair-grid view"])
+    def test_forward_and_backward(self, out_dim, layout):
+        rng = np.random.default_rng(15)
+        net = Mlp.initialize(4, 20, out_dim, rng)
+        net.b1[:] = 0.3 * rng.standard_normal(20)
+        net.b2[:] = rng.standard_normal(out_dim)
+        if layout == "row-major":
+            x = rng.standard_normal((4096, 4))
+        else:
+            # the (N*N, d) transpose of the feature-major grid pair_scores builds
+            u, v = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+            x = _pair_inputs(u, v, None).T
+            assert x.T.flags.c_contiguous
+        dout = rng.standard_normal((4096, out_dim))
+        want_out, want_grads = plain_mlp(net, x, dout)
+        out, cache = net.forward(x)
+        assert_rel_close(out, want_out)
+        grads = net.backward(cache, dout)
+        assert list(grads) == ["w1", "b1", "w2", "b2"]
+        for name, want in want_grads.items():
+            assert_rel_close(grads[name], want)
 
 
 class TestCondGaussian:
