@@ -31,8 +31,7 @@ from .nn import AdamState, CondGaussianHead, Mlp, adam_step
 from .estimators import (
     MiEstimatorKind,
     MiTermEstimator,
-    club_train_loss,
-    club_value,
+    club_bound,
     create_term_estimator,
     infonce_bound,
     mine_bound,
@@ -88,8 +87,7 @@ __all__ = [
     "adam_step",
     "MiEstimatorKind",
     "MiTermEstimator",
-    "club_train_loss",
-    "club_value",
+    "club_bound",
     "create_term_estimator",
     "infonce_bound",
     "mine_bound",

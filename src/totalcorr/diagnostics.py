@@ -17,12 +17,11 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import PathKind, build_plan, closed_form_plan_sum
-from .errors import ParameterError
 from .estimators import (
     LOWER_BOUNDS,
     MiEstimatorKind,
+    _club_nll,
     _mine_surrogate,
-    club_train_loss,
     create_term_estimator,
     infonce_bound,
     pair_scores,
@@ -35,7 +34,7 @@ from .gaussian import (
     solve_rho_for_tc,
     tc_closed_form,
 )
-from .nn import LOGVAR_MAX, LOGVAR_MIN
+from .nn import LOGVAR_MAX, LOGVAR_MIN, cond_gaussian_logpdf
 
 
 @dataclass
@@ -84,16 +83,11 @@ def make_loss_probes(
     club = create_term_estimator(MiEstimatorKind.CLUB, u.shape[1], v.shape[1], rng)
 
     def club_lgs():
-        loss, grads = club_train_loss(club.head, u, v)
-        _, mu_cache = club.head.mu_net.forward(u)
-        logvar_raw, lv_cache = club.head.logvar_net.forward(u)
-        clamp = (logvar_raw >= LOGVAR_MIN) & (logvar_raw <= LOGVAR_MAX)
-        sig = (
-            np.packbits(mu_cache.hidden > 0).tobytes()
-            + np.packbits(lv_cache.hidden > 0).tobytes()
-            + np.packbits(clamp).tobytes()
-        )
-        return loss, grads, sig
+        logpdf, cache = cond_gaussian_logpdf(club.head, u, v)
+        loss, grads = _club_nll(club.head, logpdf, cache)
+        clamp = (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
+        masks = (cache.mu_cache.hidden > 0, cache.logvar_cache.hidden > 0, clamp)
+        return loss, grads, b"".join(np.packbits(m).tobytes() for m in masks)
 
     probes.append(LossProbe("CLUB", club.head.parameters(), club_lgs))
     return probes

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParameterError, TrainingError
 from .nn import (
     AdamState,
+    CondGaussianCache,
     CondGaussianHead,
     DEFAULT_HIDDEN,
     Mlp,
@@ -239,29 +240,29 @@ LOWER_BOUNDS = {
 }
 
 
-def club_value(head: CondGaussianHead, u: np.ndarray, v: np.ndarray) -> float:
-    """Contrastive log-ratio upper bound:
-    mean_i log q(v_i | u_i) - mean_{i,j} log q(v_j | u_i).
+def club_bound(
+    head: CondGaussianHead, u: np.ndarray, v: np.ndarray, value_only: bool = False
+) -> tuple[float, float, dict[str, np.ndarray]] | float:
+    """Contrastive log-ratio upper bound and its loss, from one forward pass.
+
+    The value, mean_i log q(v_i | u_i) - mean_{i,j} log q(v_j | u_i), comes
+    from the all-pairs matrix. q is fit by maximum likelihood on the joint
+    pairs only (:func:`_club_nll`); the value itself is never differentiated.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
     _check_pair_batch(u, v)
-    logpdf = cond_gaussian_logpdf_matrix(head, u, v)
-    return float(np.mean(np.diag(logpdf)) - np.mean(logpdf))
-
-
-def club_train_loss(
-    head: CondGaussianHead, u: np.ndarray, v: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Negative conditional log-likelihood on the joint pairs.
-
-    q is fit by maximum likelihood only; the bound value itself is never
-    differentiated.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    n = _check_pair_batch(u, v)
     logpdf, cache = cond_gaussian_logpdf(head, u, v)
+    logq = cond_gaussian_logpdf_matrix(cache)
+    value = float(np.mean(np.diag(logq)) - np.mean(logq))
+    if value_only:
+        return value
+    return (value, *_club_nll(head, logpdf, cache))
+
+
+def _club_nll(
+    head: CondGaussianHead, logpdf: np.ndarray, cache: CondGaussianCache
+) -> tuple[float, dict[str, np.ndarray]]:
+    """-mean_i log q(v_i | u_i) and its gradient, from the forward's rows and cache."""
+    n = logpdf.shape[0]
     grads = cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
     return -float(np.mean(logpdf)), grads
 
@@ -271,7 +272,7 @@ def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if est.kind is MiEstimatorKind.CLUB:
-        return club_value(est.head, u, v)
+        return club_bound(est.head, u, v, value_only=True)
     scores, _, est._pairs_buf = pair_scores(est.critic, u, v, est._pairs_buf)
     return LOWER_BOUNDS[est.kind](scores, est.ema_denominator, value_only=True)
 
@@ -293,8 +294,7 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
         )
     step = est.adam.step_count + 1
     if est.kind is MiEstimatorKind.CLUB:
-        value = club_value(est.head, u, v)
-        loss, grads = club_train_loss(est.head, u, v)
+        value, loss, grads = club_bound(est.head, u, v)
     else:
         scores, cache, est._pairs_buf = pair_scores(est.critic, u, v, est._pairs_buf)
         value, loss, grad_scores, ema = LOWER_BOUNDS[est.kind](scores, est.ema_denominator)

@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ParameterError("estimators must be non-empty")
         if not self.paths:
             raise ParameterError("paths must be non-empty")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -272,14 +274,14 @@ def _worker_outcome(future):
 
 
 def _pool_outcomes(config: ExperimentConfig, combos: list, jobs: int) -> list:
-    """Outcomes of the combos run in a pool of ``jobs`` processes.
+    """Outcomes of the combos run in a pool of min(jobs, len(combos)) processes.
 
     A worker's death breaks the pool and fails every run still running or
     pending in it, not only the dead worker's own. Each run failed that way
     is run once more, alone in a fresh one-worker pool, so only a run whose
     own worker dies again stays failed.
     """
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(combos))) as pool:
         futures = [pool.submit(_run_single, config, e, p) for e, p in combos]
         outcomes = [_worker_outcome(f) for f in futures]
     for i, future in enumerate(futures):
@@ -298,6 +300,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     way (see :func:`_pool_outcomes`); results are identical to a sequential
     run because every run owns dedicated RNG streams.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
     combos = [(e, p) for e in config.estimators for p in config.paths]
     if jobs > 1:
         outcomes = _pool_outcomes(config, combos, jobs)
@@ -357,24 +361,35 @@ def _parse_row(path, line_number: int, line: str) -> tuple:
         raise TraceParseError(path, line_number, str(exc)) from exc
 
 
+def _ascii_lines(path: Path) -> list[str]:
+    """The lines of a CSV file; a non-ASCII byte is an error naming its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(path, line_number, f"non-ASCII byte {data[exc.start]:#04x}") from None
+
+
 def _read_trace_rows(path: Path) -> np.ndarray:
     """The data rows of a trace CSV as one structured array, header checked.
 
-    numpy parses the columns. Where it rejects the file (a wrong field count,
-    a bad number, or a spelling that only ``int``/``float`` accept, such as
-    ``1_000``), the rows are parsed line by line instead, which either names
-    the first bad line or reads the file as ``int``/``float`` do.
+    numpy parses the columns. Where it rejects the file (a bad header or byte,
+    a wrong field count, a bad number, or a spelling that only ``int``/``float``
+    accept, such as ``1_000``), it is parsed line by line instead, which either
+    names the first bad line or reads the file as ``int``/``float`` do.
     """
     with open(path, encoding="ascii") as f:
-        if f.readline().rstrip("\r\n") != TRACE_HEADER:
-            raise TraceParseError(path, 1, f"expected header {TRACE_HEADER!r}")
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                return np.loadtxt(f, dtype=_TRACE_ROW, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
+            if f.readline().rstrip("\r\n") == TRACE_HEADER:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    return np.loadtxt(f, dtype=_TRACE_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:  # UnicodeDecodeError included
             pass
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = _ascii_lines(path)
+    if not lines or lines[0] != TRACE_HEADER:
+        raise TraceParseError(path, 1, f"expected header {TRACE_HEADER!r}")
     rows = [_parse_row(path, i + 2, line) for i, line in enumerate(lines[1:]) if line]
     return np.array(rows, dtype=_TRACE_ROW)
 
@@ -443,7 +458,7 @@ def persist_metrics(rows: list[MetricsRow], path: str | Path) -> None:
 
 def load_metrics(path: str | Path) -> list[MetricsRow]:
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = _ascii_lines(path)
     if not lines or lines[0] != METRICS_HEADER:
         raise TraceParseError(path, 1, f"expected header {METRICS_HEADER!r}")
     rows = []

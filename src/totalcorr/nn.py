@@ -199,13 +199,16 @@ class CondGaussianCache(NamedTuple):
     mu: np.ndarray
     logvar_raw: np.ndarray
     logvar: np.ndarray
+    inv_var: np.ndarray
+    resid: np.ndarray
     v: np.ndarray
 
 
 def cond_gaussian_logpdf(
     head: CondGaussianHead, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, CondGaussianCache]:
-    """Row-wise log q(v_i | u_i); log-variances are clamped to [-10, 10]."""
+    """Row-wise log q(v_i | u_i), log-variances clamped to [-10, 10], and the
+    cache that the backward pass and the all-pairs matrix both work from."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
@@ -219,7 +222,7 @@ def cond_gaussian_logpdf(
     resid = v - mu
     per_dim = -0.5 * _LOG_2PI - 0.5 * logvar - 0.5 * resid * resid * inv_var
     logpdf = per_dim.sum(axis=1)
-    cache = CondGaussianCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, v)
+    cache = CondGaussianCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, resid, v)
     return logpdf, cache
 
 
@@ -233,37 +236,25 @@ def cond_gaussian_logpdf_backward(
     dlogpdf = np.asarray(dlogpdf, dtype=np.float64)
     if dlogpdf.shape != (cache.v.shape[0],):
         raise ParameterError("dlogpdf must be one value per row")
-    inv_var = np.exp(-cache.logvar)
-    resid = cache.v - cache.mu
     w = dlogpdf[:, None]
-    dmu = w * resid * inv_var
-    dlogvar = w * (-0.5 + 0.5 * resid * resid * inv_var)
-    in_range = (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
-    dlogvar_raw = dlogvar * in_range
+    dmu = w * cache.resid * cache.inv_var
+    dlogvar = w * (-0.5 + 0.5 * cache.resid * cache.resid * cache.inv_var)
+    dlogvar *= (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
     mu_grads = head.mu_net.backward(cache.mu_cache, dmu)
-    lv_grads = head.logvar_net.backward(cache.logvar_cache, dlogvar_raw)
+    lv_grads = head.logvar_net.backward(cache.logvar_cache, dlogvar)
     grads = {f"mu.{k}": g for k, g in mu_grads.items()}
     grads.update({f"logvar.{k}": g for k, g in lv_grads.items()})
     return grads
 
 
-def cond_gaussian_logpdf_matrix(
-    head: CondGaussianHead, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
+def cond_gaussian_logpdf_matrix(cache: CondGaussianCache) -> np.ndarray:
     """All-pairs log q(v_j | u_i) as an (N, N) matrix (no gradients).
 
-    The conditioning networks run once on the N rows of u; densities for all
-    pairs follow from expanding the squared residual.
+    Built from the cache of :func:`cond_gaussian_logpdf` on (u, v) by
+    expanding the squared residual; no network runs again.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
-        raise ParameterError("u and v must be 2-d with equal batch sizes")
-    mu, _ = head.mu_net.forward(u)
-    logvar_raw, _ = head.logvar_net.forward(u)
-    logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
-    inv_var = np.exp(-logvar)
-    const = np.sum(-0.5 * _LOG_2PI - 0.5 * logvar - 0.5 * mu * mu * inv_var, axis=1)
+    mu, inv_var, v = cache.mu, cache.inv_var, cache.v
+    const = np.sum(-0.5 * _LOG_2PI - 0.5 * cache.logvar - 0.5 * mu * mu * inv_var, axis=1)
     cross = (mu * inv_var) @ v.T
     quad = (0.5 * inv_var) @ (v * v).T
     return const[:, None] + cross - quad

@@ -106,6 +106,14 @@ class TestRunCommand:
         assert code == 1
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message", [(["--seed", "-1"], "seed must be nonnegative"), (["--jobs", "0"], "jobs")]
+    )
+    def test_bad_seed_or_jobs_exits_1(self, smoke_config, tmp_path, capsys, flags, message):
+        code = main(["run", "--config", str(smoke_config), "--out", str(tmp_path / "o"), *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, smoke_config, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -11,8 +11,7 @@ from totalcorr.errors import ParameterError, TrainingError
 from totalcorr.estimators import (
     LOWER_BOUNDS,
     MiEstimatorKind,
-    club_train_loss,
-    club_value,
+    club_bound,
     create_term_estimator,
     evaluate,
     infonce_bound,
@@ -221,7 +220,7 @@ class TestClubValue:
         u = rng.standard_normal((16, 1))
         v = rng.standard_normal((16, 1))
         # heads ignoring u make the two averages coincide up to rounding
-        assert abs(club_value(constant_head(), u, v)) < 1e-13
+        assert abs(club_bound(constant_head(), u, v, value_only=True)) < 1e-13
 
     def test_two_sample_hand_computation(self):
         # independent reimplementation of the 2x2 log-density combination
@@ -233,7 +232,7 @@ class TestClubValue:
             [[logpdf(1.0), logpdf(-0.5)], [logpdf(1.0), logpdf(-0.5)]]
         )
         expected = (mat[0, 0] + mat[1, 1]) / 2 - mat.mean()
-        assert club_value(head, u, v) == pytest.approx(expected, abs=1e-12)
+        assert club_bound(head, u, v, value_only=True) == pytest.approx(expected, abs=1e-12)
 
     def test_train_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -242,7 +241,7 @@ class TestClubValue:
         v = rng.standard_normal((8, 1))
 
         def loss_grad_sig():
-            return (*club_train_loss(head, u, v), b"")
+            return (*club_bound(head, u, v)[1:], b"")
 
         assert fd_report(LossProbe("CLUB", head.parameters(), loss_grad_sig)).worst_raw < 1e-4
 
@@ -253,7 +252,7 @@ class TestClubValue:
         losses = []
         for _ in range(2000):
             batch = sample(model, 64, rng)
-            losses.append(club_train_loss(est.head, batch[:, :1], batch[:, 1:])[0])
+            losses.append(club_bound(est.head, batch[:, :1], batch[:, 1:])[1])
             train_step(est, batch[:, :1], batch[:, 1:])
         block = [float(np.mean(losses[i : i + 200])) for i in range(0, 2000, 200)]
         # strictly decreasing until the noise floor (~0.80 nats) is reached,
@@ -369,18 +368,43 @@ class TestTrainStep:
         v = rng.standard_normal((8, 2))
         got = evaluate(est, u, v)
         if kind is MiEstimatorKind.CLUB:
-            assert got == club_value(est.head, u, v)
+            assert got == club_bound(est.head, u, v)[0]
         else:
             scores = scores_of(est.critic, u, v)
             assert got == value(LOWER_BOUNDS[kind], scores)
 
-    @pytest.mark.parametrize("kind", [k for k in MiEstimatorKind if k.is_lower_bound])
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
     def test_value_only_is_the_same_float(self, kind):
         # evaluate asks the bound for its value alone; training takes the value
         # from the full tuple, and the two must agree bit for bit
         rng = np.random.default_rng(16)
-        bound = LOWER_BOUNDS[kind]
         for n, scale, ema in [(64, 1.0, 1.0), (64, 5.0, 0.37), (2, 0.5, 3.1), (17, 30.0, 1e-3)]:
-            scores = scale * rng.standard_normal((n, n))
-            got = bound(scores, ema, value_only=True)
-            assert isinstance(got, float) and got == bound(scores, ema)[0]
+            if kind is MiEstimatorKind.CLUB:
+                head = CondGaussianHead.initialize(2, 2, 5, rng)
+                u, v = scale * rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+                bound = lambda **kw: club_bound(head, u, v, **kw)
+            else:
+                scores = scale * rng.standard_normal((n, n))
+                bound = lambda **kw: LOWER_BOUNDS[kind](scores, ema, **kw)
+            got = bound(value_only=True)
+            assert isinstance(got, float) and got == bound()[0]
+
+    def test_club_runs_each_head_forward_once(self, monkeypatch):
+        # value, loss and gradient of a CLUB step all come from one forward
+        # pass of the two heads, and evaluation needs no more than that
+        rng = np.random.default_rng(17)
+        est = create_term_estimator(MiEstimatorKind.CLUB, 2, 1, rng)
+        u, v = rng.standard_normal((16, 2)), rng.standard_normal((16, 1))
+        calls = []
+        forward = Mlp.forward
+
+        def counting_forward(self, x):
+            calls.append(self)
+            return forward(self, x)
+
+        monkeypatch.setattr(Mlp, "forward", counting_forward)
+        train_step(est, u, v)
+        assert calls == [est.head.mu_net, est.head.logvar_net]
+        calls.clear()
+        evaluate(est, u, v)
+        assert calls == [est.head.mu_net, est.head.logvar_net]

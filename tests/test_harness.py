@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -66,6 +67,26 @@ def _run_single_dying(config, est_kind, path_kind):
     return _run_single(config, est_kind, path_kind)
 
 
+class _InlineExecutor:
+    """ProcessPoolExecutor stand-in that records its size and runs each call inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="workers must inherit the patched _run_single",
@@ -114,6 +135,7 @@ class TestConfigValidation:
             dict(eval_batches=1),
             dict(estimators=()),
             dict(paths=()),
+            dict(seed=-1),
         ],
     )
     def test_rejects_invalid_fields(self, bad):
@@ -255,6 +277,28 @@ class TestRunExperiment:
         assert all(trace == sequential.traces[key] for key, trace in result.traces.items())
         assert result.metrics == [r for r in sequential.metrics if (r.estimator, r.path) != dead]
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ParameterError, match="jobs"):
+            run_experiment(tiny_config(), jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs, kinds, workers",
+        [
+            (64, (MiEstimatorKind.NWJ,), 2),
+            (3, (MiEstimatorKind.MINE, MiEstimatorKind.NWJ), 3),
+        ],
+    )
+    def test_pool_has_at_most_one_worker_per_run(self, monkeypatch, jobs, kinds, workers):
+        # a forked pool starts all its workers up front, so it is sized to the runs
+        cfg = tiny_config(estimators=kinds)
+        sequential = run_experiment(cfg)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(_InlineExecutor, "sizes", [])
+        result = run_experiment(cfg, jobs=jobs)
+        assert _InlineExecutor.sizes == [workers]
+        assert result.traces == sequential.traces and result.metrics == sequential.metrics
+
     def test_seed_changes_results(self):
         kinds = (MiEstimatorKind.NWJ,)
         a = run_experiment(tiny_config(estimators=kinds, seed=0))
@@ -367,11 +411,15 @@ class TestTracePersistence:
              4, "row count is not a multiple of term count"),
             (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "2,2.0,0.5,0.5,0,0.25",
               "3,2.0,0.5,0.5,1,0.25"], 5, "step columns differ"),
+            (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.2\xe9"], 3, "non-ASCII byte 0xe9"),
+            # past the first read of the file, so numpy's parser meets the byte
+            ([f"{i},2.0,0.5,0.5,0,0.25" for i in range(1, 2000)] + ["2000,2.0,0.5,0.\xe9,0,0.25"],
+             2001, "non-ASCII byte 0xe9"),
         ],
     )
     def test_malformed_rows_name_their_line(self, tmp_path, rows, line, message):
         path = tmp_path / "bad.csv"
-        path.write_text("\n".join([harness.TRACE_HEADER, *rows]) + "\n")
+        path.write_bytes(("\n".join([harness.TRACE_HEADER, *rows]) + "\n").encode("latin-1"))
         with pytest.raises(TraceParseError, match=f"line {line}.*{message}"):
             load_trace(path)
 
@@ -431,4 +479,14 @@ class TestMetricsPersistence:
             "NOPE,TREE,2,0,0,0,4,0\n"
         )
         with pytest.raises(TraceParseError, match="line 2"):
+            load_metrics(path)
+
+    def test_non_ascii_byte_names_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(
+            b"estimator,path,target_tc,bias,variance,mse,eval_batches,seed\n"
+            b"MINE,TREE,2,0,0,0,4,0\n"
+            b"NWJ,TREE,2,0.\xe9,0,0,4,0\n"
+        )
+        with pytest.raises(TraceParseError, match="line 3.*non-ASCII byte 0xe9"):
             load_metrics(path)

@@ -213,7 +213,7 @@ class TestCondGaussian:
         head = CondGaussianHead.initialize(2, 2, 4, rng)
         u = rng.standard_normal((6, 2))
         v = rng.standard_normal((6, 2))
-        mat = cond_gaussian_logpdf_matrix(head, u, v)
+        mat = cond_gaussian_logpdf_matrix(cond_gaussian_logpdf(head, u, v)[1])
         for i in range(6):
             for j in range(6):
                 lp, _ = cond_gaussian_logpdf(head, u[i : i + 1], v[j : j + 1])
