@@ -17,6 +17,7 @@ from .decomposition import PathKind
 from .errors import ConfigError, ParameterError, TotalCorrError, TraceParseError
 from .estimators import MiEstimatorKind
 from .harness import (
+    METRICS_HEADER,
     ExperimentConfig,
     load_metrics,
     load_trace,
@@ -113,6 +114,8 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    if args.jobs < 1:  # run_experiment checks it too, but only after --out exists
+        raise ParameterError(f"jobs must be at least 1, got {args.jobs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = run_experiment(config, jobs=args.jobs)
@@ -144,7 +147,7 @@ def _cmd_report(args) -> int:
     except (TraceParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    header = ("estimator", "path", "target_tc", "bias", "variance", "mse", "eval_batches", "seed")
+    header = METRICS_HEADER.split(",")
     table = [header]
     for r in rows:
         table.append(

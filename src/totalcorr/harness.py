@@ -36,8 +36,30 @@ from .gaussian import GaussianModel, equicorrelated_sigma, sample, solve_rho_for
 ALL_ESTIMATORS = tuple(MiEstimatorKind)
 ALL_PATHS = tuple(PathKind)
 
-TRACE_HEADER = "global_step,target_tc,raw_estimate,smoothed_estimate,term_index,term_estimate"
-METRICS_HEADER = "estimator,path,target_tc,bias,variance,mse,eval_batches,seed"
+# The columns of the two CSV files: name, numpy dtype and parse function.
+# The name columns are objects, because a fixed-width string dtype would
+# truncate a longer, invalid name to a valid one without an error, and so is
+# the seed, which SeedSequence takes at any size.
+_TRACE_ROW = (
+    ("global_step", np.int64, int),
+    ("target_tc", np.float64, float),
+    ("raw_estimate", np.float64, float),
+    ("smoothed_estimate", np.float64, float),
+    ("term_index", np.int64, int),
+    ("term_estimate", np.float64, float),
+)
+_METRICS_ROW = (
+    ("estimator", object, MiEstimatorKind),
+    ("path", object, PathKind),
+    ("target_tc", np.float64, float),
+    ("bias", np.float64, float),
+    ("variance", np.float64, float),
+    ("mse", np.float64, float),
+    ("eval_batches", np.int64, int),
+    ("seed", object, int),
+)
+TRACE_HEADER = ",".join(name for name, _, _ in _TRACE_ROW)
+METRICS_HEADER = ",".join(name for name, _, _ in _METRICS_ROW)
 
 
 def _fmt(x: float) -> str:
@@ -319,7 +341,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 
 def persist_trace(trace: TrainingTrace, path: str | Path) -> None:
     """Write one row per (step, term); floats carry 17 significant digits."""
-    lines = [TRACE_HEADER]
+    lines = []
     for i in range(len(trace.steps)):
         step = str(int(trace.steps[i]))
         target = _fmt(trace.target[i])
@@ -329,75 +351,13 @@ def persist_trace(trace: TrainingTrace, path: str | Path) -> None:
             lines.append(
                 f"{step},{target},{raw},{smoothed},{k},{_fmt(trace.terms[i, k])}"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-_TRACE_ROW = np.dtype(
-    [
-        ("step", np.int64),
-        ("target", np.float64),
-        ("raw", np.float64),
-        ("smoothed", np.float64),
-        ("term_index", np.int64),
-        ("term_estimate", np.float64),
-    ]
-)
-
-
-def _parse_row(path, line_number: int, line: str) -> tuple:
-    fields = line.split(",")
-    if len(fields) != 6:
-        raise TraceParseError(path, line_number, f"expected 6 fields, got {len(fields)}")
-    try:
-        return (
-            int(fields[0]),
-            float(fields[1]),
-            float(fields[2]),
-            float(fields[3]),
-            int(fields[4]),
-            float(fields[5]),
-        )
-    except ValueError as exc:
-        raise TraceParseError(path, line_number, str(exc)) from exc
-
-
-def _ascii_lines(path: Path) -> list[str]:
-    """The lines of a CSV file; a non-ASCII byte is an error naming its line."""
-    data = path.read_bytes()
-    try:
-        return data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        line_number = data.count(b"\n", 0, exc.start) + 1
-        raise TraceParseError(path, line_number, f"non-ASCII byte {data[exc.start]:#04x}") from None
-
-
-def _read_trace_rows(path: Path) -> np.ndarray:
-    """The data rows of a trace CSV as one structured array, header checked.
-
-    numpy parses the columns. Where it rejects the file (a bad header or byte,
-    a wrong field count, a bad number, or a spelling that only ``int``/``float``
-    accept, such as ``1_000``), it is parsed line by line instead, which either
-    names the first bad line or reads the file as ``int``/``float`` do.
-    """
-    with open(path, encoding="ascii") as f:
-        try:
-            if f.readline().rstrip("\r\n") == TRACE_HEADER:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    return np.loadtxt(f, dtype=_TRACE_ROW, delimiter=",", comments=None, ndmin=1)
-        except ValueError:  # UnicodeDecodeError included
-            pass
-    lines = _ascii_lines(path)
-    if not lines or lines[0] != TRACE_HEADER:
-        raise TraceParseError(path, 1, f"expected header {TRACE_HEADER!r}")
-    rows = [_parse_row(path, i + 2, line) for i, line in enumerate(lines[1:]) if line]
-    return np.array(rows, dtype=_TRACE_ROW)
+    _write_csv(path, TRACE_HEADER, lines)
 
 
 def load_trace(path: str | Path) -> TrainingTrace:
     """Inverse of :func:`persist_trace`; exact round-trip of every value."""
     path = Path(path)
-    rows = _read_trace_rows(path)
+    rows = _read_csv(path, _TRACE_ROW)
     if not rows.size:
         return TrainingTrace(
             steps=np.empty(0, dtype=np.int64),
@@ -415,7 +375,7 @@ def load_trace(path: str | Path) -> TrainingTrace:
     # every row must carry its term index and repeat its step's first row
     bad_index = block["term_index"] != np.arange(n_terms)
     bad_step = np.zeros(block.shape, dtype=bool)
-    for name in ("step", "target", "raw", "smoothed"):
+    for name in ("global_step", "target_tc", "raw_estimate", "smoothed_estimate"):
         bad_step |= block[name] != block[name][:, :1]
     bad = np.flatnonzero(bad_index | bad_step)
     if bad.size:
@@ -428,59 +388,75 @@ def load_trace(path: str | Path) -> TrainingTrace:
         raise TraceParseError(path, line_number, "step columns differ within one global step")
     first = block[:, 0]
     return TrainingTrace(
-        steps=first["step"].copy(),
-        target=first["target"].copy(),
-        raw=first["raw"].copy(),
-        smoothed=first["smoothed"].copy(),
+        steps=first["global_step"].copy(),
+        target=first["target_tc"].copy(),
+        raw=first["raw_estimate"].copy(),
+        smoothed=first["smoothed_estimate"].copy(),
         terms=np.ascontiguousarray(block["term_estimate"]),
     )
 
 
 def persist_metrics(rows: list[MetricsRow], path: str | Path) -> None:
-    lines = [METRICS_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.estimator.value,
-                    r.path.value,
-                    _fmt(r.target_tc),
-                    _fmt(r.bias),
-                    _fmt(r.variance),
-                    _fmt(r.mse),
-                    str(int(r.eval_batches)),
-                    str(int(r.seed)),
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines = [
+        f"{r.estimator.value},{r.path.value},{_fmt(r.target_tc)},{_fmt(r.bias)},"
+        f"{_fmt(r.variance)},{_fmt(r.mse)},{int(r.eval_batches)},{int(r.seed)}"
+        for r in rows
+    ]
+    _write_csv(path, METRICS_HEADER, lines)
 
 
 def load_metrics(path: str | Path) -> list[MetricsRow]:
-    path = Path(path)
-    lines = _ascii_lines(path)
-    if not lines or lines[0] != METRICS_HEADER:
-        raise TraceParseError(path, 1, f"expected header {METRICS_HEADER!r}")
-    rows = []
-    for i, line in enumerate(lines[1:]):
+    """Inverse of :func:`persist_metrics`."""
+    return [MetricsRow(*row) for row in _read_csv(Path(path), _METRICS_ROW).tolist()]
+
+
+def _write_csv(path: str | Path, header: str, lines: list[str]) -> None:
+    """The header, then one line per row, as ASCII with a final newline."""
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
+
+
+def _read_csv(path: Path, columns: tuple) -> np.ndarray:
+    """The data rows of a CSV file as one structured array, header checked.
+
+    numpy parses the columns. Where it rejects the file (a bad header or byte,
+    a wrong field count, a bad value, or a spelling that only the column's
+    parse function accepts, such as ``1_000``), the file is parsed line by
+    line with those functions instead, which either names the first bad line
+    or reads the file as they do.
+    """
+    header = ",".join(name for name, _, _ in columns)
+    row = np.dtype([(name, dtype) for name, dtype, _ in columns])
+    converters = {i: parse for i, (_, dtype, parse) in enumerate(columns) if dtype is object}
+    with open(path, encoding="ascii") as f:
+        try:
+            if f.readline().rstrip("\r\n") == header:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    return np.loadtxt(
+                        f, dtype=row, delimiter=",", comments=None, ndmin=1, converters=converters
+                    )
+        except ValueError:  # UnicodeDecodeError included
+            pass
+    data = path.read_bytes()
+    # a non-ASCII byte decodes to a character no header contains
+    lines = data.decode("ascii", "surrogateescape").splitlines()
+    if not lines or lines[0] != header:
+        raise TraceParseError(path, 1, f"expected header {header!r}")
+    try:
+        data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(path, line_number, f"non-ASCII byte {data[exc.start]:#04x}") from None
+    parsed = []
+    for line_number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != 8:
-            raise TraceParseError(path, i + 2, f"expected 8 fields, got {len(fields)}")
+        if len(fields) != len(columns):
+            message = f"expected {len(columns)} fields, got {len(fields)}"
+            raise TraceParseError(path, line_number, message)
         try:
-            rows.append(
-                MetricsRow(
-                    estimator=MiEstimatorKind(fields[0]),
-                    path=PathKind(fields[1]),
-                    target_tc=float(fields[2]),
-                    bias=float(fields[3]),
-                    variance=float(fields[4]),
-                    mse=float(fields[5]),
-                    eval_batches=int(fields[6]),
-                    seed=int(fields[7]),
-                )
-            )
+            parsed.append(tuple(parse(x) for (_, _, parse), x in zip(columns, fields)))
         except ValueError as exc:
-            raise TraceParseError(path, i + 2, str(exc)) from exc
-    return rows
+            raise TraceParseError(path, line_number, str(exc)) from exc
+    return np.array(parsed, dtype=row)

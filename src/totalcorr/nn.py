@@ -48,6 +48,16 @@ class Mlp:
     in buffers reused across calls (training touches them tens of thousands
     of times), which is why backward only accepts the cache of the latest
     forward.
+
+    The buffers are kept for speed, not only to save allocations: a critic's
+    two (20, 4096) float64 arrays take 1.3 MB, which glibc's malloc hands
+    back to the OS when they are freed and page-faults in again on the next
+    step. With fresh arrays per call an InfoNCE ``train_step`` at N = 64 took
+    1.5 to 2.6 times as long, with 185 to 344 minor page faults per step
+    against none (two sets of runs on a 2-core Xeon, numpy 2.4.6). Raising
+    ``MALLOC_TRIM_THRESHOLD_`` and ``MALLOC_MMAP_THRESHOLD_`` in the
+    environment also removes the faults, but that setting belongs to the
+    process, not to the library.
     """
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):

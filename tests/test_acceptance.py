@@ -42,6 +42,8 @@ from totalcorr.harness import (
 )
 from totalcorr.svgplot import render_traces
 
+pytestmark = pytest.mark.acceptance
+
 PROTOCOL_TARGETS = (2.0, 4.0)
 PROTOCOL_SEEDS = tuple(range(5))
 STEPS_PER_TARGET = 4000

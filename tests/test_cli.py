@@ -113,6 +113,7 @@ class TestRunCommand:
         code = main(["run", "--config", str(smoke_config), "--out", str(tmp_path / "o"), *flags])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_byte_identical_reruns(self, smoke_config, tmp_path):
         out_a = tmp_path / "a"

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -386,9 +387,11 @@ class TestTracePersistence:
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(TraceParseError, match="line 1"):
-            load_trace(path)
+        # the header is checked before a later non-ASCII byte
+        for data in (b"a,b,c\n", b"a,b,c\n1,2\xe9\n"):
+            path.write_bytes(data)
+            with pytest.raises(TraceParseError, match="line 1: expected header"):
+                load_trace(path)
 
     def test_inconsistent_step_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -474,12 +477,32 @@ class TestMetricsPersistence:
 
     def test_bad_estimator_name_names_line(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        path.write_text(
-            "estimator,path,target_tc,bias,variance,mse,eval_batches,seed\n"
-            "NOPE,TREE,2,0,0,0,4,0\n"
-        )
-        with pytest.raises(TraceParseError, match="line 2"):
-            load_metrics(path)
+        # INFONCEX and TREES start with a valid name, which a fixed-width
+        # string column would keep after truncating them
+        for row, name in [
+            ("NOPE,TREE,2,0,0,0,4,0", "NOPE"),
+            ("INFONCEX,TREE,2,0,0,0,4,0", "INFONCEX"),
+            ("MINE,TREES,2,0,0,0,4,0", "TREES"),
+        ]:
+            path.write_text(
+                "estimator,path,target_tc,bias,variance,mse,eval_batches,seed\n" + row + "\n"
+            )
+            with pytest.raises(TraceParseError, match=f"line 2: '{name}' is not a valid"):
+                load_metrics(path)
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        for data in (b"a,b,c\n", b"a,b,c\n1,2\xe9\n"):
+            path.write_bytes(data)
+            with pytest.raises(TraceParseError, match="line 1: expected header"):
+                load_metrics(path)
+
+    def test_seed_beyond_int64_round_trips(self, tmp_path):
+        # SeedSequence takes seeds of any size, and the run records them as given
+        rows = [dataclasses.replace(self.rows()[0], seed=2**64)]
+        path = tmp_path / "metrics.csv"
+        persist_metrics(rows, path)
+        assert load_metrics(path) == rows
 
     def test_non_ascii_byte_names_line(self, tmp_path):
         path = tmp_path / "metrics.csv"
