@@ -34,20 +34,21 @@ from .gaussian import (
     solve_rho_for_tc,
     tc_closed_form,
 )
-from .nn import LOGVAR_MAX, LOGVAR_MIN, cond_gaussian_logpdf
+from .nn import LOGVAR_MAX, LOGVAR_MIN, cond_gaussian_forward
 
 
 @dataclass
 class LossProbe:
     """One estimator loss on a fixed batch, instrumented for FD checking.
 
-    ``loss_grad_sig`` returns (loss, grads, activation signature); the
-    signature captures every kink state so FD validity is decidable exactly.
+    ``loss_grad_sig`` returns (loss, gradient laid out like ``theta``,
+    activation signature); the signature captures every kink state so FD
+    validity is decidable exactly.
     """
 
     name: str
-    params: dict[str, np.ndarray]
-    loss_grad_sig: Callable[[], tuple[float, dict[str, np.ndarray], bytes]]
+    theta: np.ndarray
+    loss_grad_sig: Callable[[], tuple[float, np.ndarray, bytes]]
 
 
 def make_loss_probes(
@@ -63,12 +64,12 @@ def make_loss_probes(
         est = create_term_estimator(kind, u.shape[1], v.shape[1], rng)
 
         def loss_grad_sig():
-            scores, cache, _ = pair_scores(est.critic, u, v)
+            scores, cache = pair_scores(est.critic, u, v)
             loss, grad = loss_fn(scores)
-            grads = est.critic.backward(cache, grad.reshape(-1, 1))
-            return loss, grads, np.packbits(cache.hidden > 0).tobytes()
+            est.critic.backward(cache, grad.reshape(-1, 1))
+            return loss, est.grad, np.packbits(cache.hidden > 0).tobytes()
 
-        return LossProbe(kind.value, est.critic.parameters(), loss_grad_sig)
+        return LossProbe(kind.value, est.theta, loss_grad_sig)
 
     # MINE's training loss moves its moving average with the scores, and its
     # gradient treats the average as a constant; the probe holds it fixed
@@ -83,13 +84,13 @@ def make_loss_probes(
     club = create_term_estimator(MiEstimatorKind.CLUB, u.shape[1], v.shape[1], rng)
 
     def club_lgs():
-        logpdf, cache = cond_gaussian_logpdf(club.head, u, v)
-        loss, grads = _club_nll(club.head, logpdf, cache)
+        cache = cond_gaussian_forward(club.head, u, v)
+        loss = _club_nll(club.head, cache)
         clamp = (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
         masks = (cache.mu_cache.hidden > 0, cache.logvar_cache.hidden > 0, clamp)
-        return loss, grads, b"".join(np.packbits(m).tobytes() for m in masks)
+        return loss, club.grad, b"".join(np.packbits(m).tobytes() for m in masks)
 
-    probes.append(LossProbe("CLUB", club.head.parameters(), club_lgs))
+    probes.append(LossProbe("CLUB", club.theta, club_lgs))
     return probes
 
 
@@ -115,35 +116,34 @@ class GradientReport:
 
 def fd_report(probe: LossProbe, h: float = 1e-5) -> GradientReport:
     eps = float(np.finfo(np.float64).eps)
-    _, grads, _ = probe.loss_grad_sig()
+    # a copy: the probe may write each call's gradient into the same vector
+    grad = np.array(probe.loss_grad_sig()[1], dtype=np.float64)
+    theta = probe.theta
     worst_checked = 0.0
     worst_raw = 0.0
     zero_verified = 0
     checked = 0
     kinks: list[str] = []
-    for name, arr in probe.params.items():
-        flat = arr.reshape(-1)
-        gflat = np.asarray(grads[name], dtype=np.float64).reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            loss_plus, _, sig_plus = probe.loss_grad_sig()
-            flat[k] = orig - h
-            loss_minus, _, sig_minus = probe.loss_grad_sig()
-            flat[k] = orig
-            fd = (loss_plus - loss_minus) / (2.0 * h)
-            ad = gflat[k]
-            err = abs(ad - fd) / max(1e-8, abs(ad) + abs(fd))
-            worst_raw = max(worst_raw, err)
-            if sig_plus != sig_minus:
-                kinks.append(f"{probe.name}.{name}[{k}]")
-                continue
-            noise = 4.0 * eps * max(abs(loss_plus), abs(loss_minus), 1.0) / (2.0 * h)
-            if abs(ad) <= noise and abs(fd) <= noise:
-                zero_verified += 1
-            else:
-                checked += 1
-                worst_checked = max(worst_checked, err)
+    for k in range(theta.size):
+        orig = theta[k]
+        theta[k] = orig + h
+        loss_plus, _, sig_plus = probe.loss_grad_sig()
+        theta[k] = orig - h
+        loss_minus, _, sig_minus = probe.loss_grad_sig()
+        theta[k] = orig
+        fd = (loss_plus - loss_minus) / (2.0 * h)
+        ad = grad[k]
+        err = abs(ad - fd) / max(1e-8, abs(ad) + abs(fd))
+        worst_raw = max(worst_raw, err)
+        if sig_plus != sig_minus:
+            kinks.append(f"{probe.name}[{k}]")
+            continue
+        noise = 4.0 * eps * max(abs(loss_plus), abs(loss_minus), 1.0) / (2.0 * h)
+        if abs(ad) <= noise and abs(fd) <= noise:
+            zero_verified += 1
+        else:
+            checked += 1
+            worst_checked = max(worst_checked, err)
     return GradientReport(worst_checked, worst_raw, kinks, zero_verified, checked)
 
 
@@ -200,7 +200,7 @@ def check_gradient_integrity(points: int = 10, seed: int = 77) -> tuple[bool, st
             worst = max(worst, report.worst_checked)
             kinks += len(report.kink_coords)
             zeros += report.zero_verified
-            total_coords += sum(p.size for p in probe.params.values())
+            total_coords += probe.theta.size
     ok = worst < 1e-4 and kinks <= 0.01 * total_coords
     return ok, (
         f"max FD error {worst:.3e} over {points} points "

@@ -24,10 +24,10 @@ from .nn import (
     Mlp,
     MlpCache,
     adam_step,
+    cond_gaussian_forward,
     cond_gaussian_logpdf,
     cond_gaussian_logpdf_backward,
     cond_gaussian_logpdf_matrix,
-    pack_parameters,
 )
 
 MINE_EMA_DECAY = 0.99
@@ -54,7 +54,7 @@ class MiTermEstimator:
     """One trainable MI estimator: critic or conditional head plus optimizer.
 
     Every parameter array of the critic or head is a view into ``theta``, the
-    one vector that Adam updates.
+    one vector that Adam updates; backward fills ``grad``, laid out the same.
     """
 
     kind: MiEstimatorKind
@@ -63,13 +63,9 @@ class MiTermEstimator:
     critic: Mlp | None
     head: CondGaussianHead | None
     theta: np.ndarray
+    grad: np.ndarray
     adam: AdamState
     ema_denominator: float = 1.0
-    _pairs_buf: np.ndarray | None = None
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        owner = self.head if self.kind is MiEstimatorKind.CLUB else self.critic
-        return owner.parameters()
 
 
 def create_term_estimator(
@@ -83,21 +79,20 @@ def create_term_estimator(
     if min(u_dim, v_dim) < 1:
         raise ParameterError("u_dim and v_dim must be positive")
     if kind is MiEstimatorKind.CLUB:
-        head = CondGaussianHead.initialize(u_dim, v_dim, hidden, rng)
         critic = None
-        theta = pack_parameters((head.mu_net, head.logvar_net))
+        head = owner = CondGaussianHead.initialize(u_dim, v_dim, hidden, rng)
     else:
-        critic = Mlp.initialize(u_dim + v_dim, hidden, 1, rng)
+        critic = owner = Mlp.initialize(u_dim + v_dim, hidden, 1, rng)
         head = None
-        theta = pack_parameters((critic,))
     return MiTermEstimator(
         kind=kind,
         u_dim=u_dim,
         v_dim=v_dim,
         critic=critic,
         head=head,
-        theta=theta,
-        adam=AdamState.for_params(theta, lr=lr),
+        theta=owner.theta,
+        grad=owner.grad,
+        adam=AdamState.for_params(owner.theta, lr=lr),
     )
 
 
@@ -111,35 +106,24 @@ def _check_pair_batch(u: np.ndarray, v: np.ndarray) -> int:
     return u.shape[0]
 
 
-def _pair_inputs(u: np.ndarray, v: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
-    """All N*N pairs concat(u_i, v_j), feature-major in a reusable buffer.
-
-    Column i*N + j of the (d_u + d_v, N*N) result holds pair (i, j).
-    """
-    n = u.shape[0]
-    width = u.shape[1] + v.shape[1]
-    if buf is None or buf.shape != (width, n * n):
-        buf = np.empty((width, n * n))
-    grid = buf.reshape(width, n, n)
-    grid[: u.shape[1]] = u.T[:, :, None]
-    grid[u.shape[1]:] = v.T[:, None, :]
-    return buf
-
-
-def pair_scores(
-    critic: Mlp, u: np.ndarray, v: np.ndarray, buf: np.ndarray | None = None
-) -> tuple[np.ndarray, MlpCache, np.ndarray]:
+def pair_scores(critic: Mlp, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     """Pairwise critic scores: entry (i, j) = critic(concat(u_i, v_j)).
 
     The diagonal holds joint-pair scores; the off-diagonal holds
     product-of-marginals scores. Returns the (N, N) scores, a fresh array,
-    the forward cache, and the feature-major pair buffer to pass back in on
-    the next call; the critic sees the buffer's (N*N, d_u + d_v) transpose.
+    and the forward cache. The N*N pairs are written feature-major straight
+    into the critic's input buffer, pair (i, j) in column i*N + j.
     """
     n = _check_pair_batch(u, v)
-    pairs = _pair_inputs(u, v, buf)
-    out, cache = critic.forward(pairs.T)
-    return out.reshape(n, n), cache, pairs
+    width = u.shape[1] + v.shape[1]
+    if width != critic.in_dim:
+        raise ParameterError(f"pair width {width} does not match critic input width {critic.in_dim}")
+    pairs = critic.input_buffer(n * n)
+    grid = pairs.T.reshape(critic.in_dim, n, n)
+    grid[: u.shape[1]] = u.T[:, :, None]
+    grid[u.shape[1]:] = v.T[:, None, :]
+    out, cache = critic.forward(pairs)
+    return out.reshape(n, n), cache
 
 
 _offdiag_masks: dict[int, np.ndarray] = {}
@@ -242,7 +226,7 @@ LOWER_BOUNDS = {
 
 def club_bound(
     head: CondGaussianHead, u: np.ndarray, v: np.ndarray, value_only: bool = False
-) -> tuple[float, float, dict[str, np.ndarray]] | float:
+) -> tuple[float, float] | float:
     """Contrastive log-ratio upper bound and its loss, from one forward pass.
 
     The value, mean_i log q(v_i | u_i) - mean_{i,j} log q(v_j | u_i), comes
@@ -250,21 +234,20 @@ def club_bound(
     pairs only (:func:`_club_nll`); the value itself is never differentiated.
     """
     _check_pair_batch(u, v)
-    logpdf, cache = cond_gaussian_logpdf(head, u, v)
+    cache = cond_gaussian_forward(head, u, v)
     logq = cond_gaussian_logpdf_matrix(cache)
     value = float(np.mean(np.diag(logq)) - np.mean(logq))
     if value_only:
         return value
-    return (value, *_club_nll(head, logpdf, cache))
+    return value, _club_nll(head, cache)
 
 
-def _club_nll(
-    head: CondGaussianHead, logpdf: np.ndarray, cache: CondGaussianCache
-) -> tuple[float, dict[str, np.ndarray]]:
-    """-mean_i log q(v_i | u_i) and its gradient, from the forward's rows and cache."""
+def _club_nll(head: CondGaussianHead, cache: CondGaussianCache) -> float:
+    """-mean_i log q(v_i | u_i) from the cache; its gradient goes into ``head.grad``."""
+    logpdf = cond_gaussian_logpdf(cache)
     n = logpdf.shape[0]
-    grads = cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
-    return -float(np.mean(logpdf)), grads
+    cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
+    return -float(np.mean(logpdf))
 
 
 def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
@@ -273,7 +256,7 @@ def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if est.kind is MiEstimatorKind.CLUB:
         return club_bound(est.head, u, v, value_only=True)
-    scores, _, est._pairs_buf = pair_scores(est.critic, u, v, est._pairs_buf)
+    scores, _ = pair_scores(est.critic, u, v)
     return LOWER_BOUNDS[est.kind](scores, est.ema_denominator, value_only=True)
 
 
@@ -294,9 +277,9 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
         )
     step = est.adam.step_count + 1
     if est.kind is MiEstimatorKind.CLUB:
-        value, loss, grads = club_bound(est.head, u, v)
+        value, loss = club_bound(est.head, u, v)
     else:
-        scores, cache, est._pairs_buf = pair_scores(est.critic, u, v, est._pairs_buf)
+        scores, cache = pair_scores(est.critic, u, v)
         value, loss, grad_scores, ema = LOWER_BOUNDS[est.kind](scores, est.ema_denominator)
         if ema < MINE_EMA_FLOOR or math.isinf(ema):
             raise TrainingError(
@@ -305,13 +288,11 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
                 step=step,
             )
         est.ema_denominator = ema
-        grads = est.critic.backward(cache, grad_scores.reshape(-1, 1))
+        est.critic.backward(cache, grad_scores.reshape(-1, 1))
     if not math.isfinite(loss):
         raise TrainingError("non-finite loss", kind=est.kind.value, step=step)
-    # backward's dicts follow the layout of theta (see nn.pack_parameters)
-    g = np.concatenate([grad.ravel() for grad in grads.values()])
     try:
-        adam_step(est.theta, g, est.adam)
+        adam_step(est.theta, est.grad, est.adam)
     except TrainingError as exc:
         raise TrainingError(str(exc), kind=est.kind.value, step=step) from exc
     return value

@@ -36,16 +36,25 @@ from .gaussian import GaussianModel, equicorrelated_sigma, sample, solve_rho_for
 ALL_ESTIMATORS = tuple(MiEstimatorKind)
 ALL_PATHS = tuple(PathKind)
 
+
+def _int64(text: str) -> int:
+    """int(text), rejected with a ValueError where an int64 column would overflow."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} does not fit in int64")
+    return value
+
+
 # The columns of the two CSV files: name, numpy dtype and parse function.
 # The name columns are objects, because a fixed-width string dtype would
 # truncate a longer, invalid name to a valid one without an error, and so is
 # the seed, which SeedSequence takes at any size.
 _TRACE_ROW = (
-    ("global_step", np.int64, int),
+    ("global_step", np.int64, _int64),
     ("target_tc", np.float64, float),
     ("raw_estimate", np.float64, float),
     ("smoothed_estimate", np.float64, float),
-    ("term_index", np.int64, int),
+    ("term_index", np.int64, _int64),
     ("term_estimate", np.float64, float),
 )
 _METRICS_ROW = (
@@ -55,7 +64,7 @@ _METRICS_ROW = (
     ("bias", np.float64, float),
     ("variance", np.float64, float),
     ("mse", np.float64, float),
-    ("eval_batches", np.int64, int),
+    ("eval_batches", np.int64, _int64),
     ("seed", object, int),
 )
 TRACE_HEADER = ",".join(name for name, _, _ in _TRACE_ROW)

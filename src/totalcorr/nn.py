@@ -2,8 +2,9 @@
 
 A single-hidden-layer ReLU MLP with hand-written reverse-mode gradients, a
 conditional diagonal-Gaussian density head, and the Adam update on one flat
-parameter vector. Everything is plain float64 numpy and is bit-deterministic
-given identical seeds and call order.
+parameter vector ``theta``, read with the gradient vector ``grad`` that
+backward fills in the same layout. Everything is plain float64 numpy and is
+bit-deterministic given identical seeds and call order.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class MlpCache(NamedTuple):
     """Activations saved by a forward pass for the matching backward pass.
 
-    ``hidden`` is the (hidden, rows) post-ReLU activation, feature-major. It
-    aliases a reusable scratch buffer, so only the most recent forward's
+    ``x`` is the (in_dim + 1, rows) input whose last row is ones and
+    ``hidden`` the (hidden, rows) post-ReLU activation, both feature-major.
+    They alias the net's scratch buffers, so only the most recent forward's
     cache is valid; ``owner``/``token`` let backward reject stale ones.
     """
 
@@ -41,13 +43,20 @@ class MlpCache(NamedTuple):
 class Mlp:
     """y = w2 @ relu(w1 @ x + b1) + b2, applied row-wise to a batch.
 
-    Hidden activations are kept feature-major, (hidden, rows), so that the
-    work on a large batch runs as contiguous matmuls and in-place passes
-    when ``x`` is the transpose of a contiguous (features, rows) array, as
-    the critic's pair grid is. The hidden activations and the ReLU mask live
-    in buffers reused across calls (training touches them tens of thousands
-    of times), which is why backward only accepts the cache of the latest
-    forward.
+    The parameters are views into one vector ``theta``: the first layer as
+    one (hidden, in_dim + 1) block ``w1b1`` whose last column is the bias
+    (``w1`` and ``b1`` are views of it), then ``w2`` and ``b2``. backward
+    writes into the views ``dw1b1``, ``dw2`` and ``db2`` of ``grad``, which
+    has the same layout. :func:`pack_parameters` moves nets into one pair.
+
+    Per batch size, the net keeps an (in_dim + 1, rows) input buffer whose
+    last row is ones, so one matmul with the block gives the pre-activations,
+    bias included, and (hidden, rows) buffers for the hidden activations and
+    the ReLU mask. Feature-major arrays make the work on a large batch
+    contiguous matmuls and in-place passes. forward copies its input into the
+    buffer unless the caller wrote it there through :meth:`input_buffer`, as
+    the critic's pair grid does. As the buffers are reused, backward only
+    accepts the cache of the latest forward.
 
     The buffers are kept for speed, not only to save allocations: a critic's
     two (20, 4096) float64 arrays take 1.3 MB, which glibc's malloc hands
@@ -61,18 +70,27 @@ class Mlp:
     """
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
+        w1, b1, w2, b2 = (np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2))
+        if w1.ndim != 2 or w2.ndim != 2:
             raise ParameterError("weight matrices must be 2-d")
-        if self.b1.shape != (self.w1.shape[0],) or self.b2.shape != (self.w2.shape[0],):
+        if b1.shape != (w1.shape[0],) or b2.shape != (w2.shape[0],):
             raise ParameterError("bias shapes do not match weight shapes")
-        if self.w2.shape[1] != self.w1.shape[0]:
+        if w2.shape[1] != w1.shape[0]:
             raise ParameterError("hidden dimensions of w1 and w2 disagree")
-        self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.w1b1, self.w2, self.b2 = np.column_stack([w1, b1]), w2, b2
+        theta = np.concatenate([p.ravel() for p in (self.w1b1, w2, b2)])
+        self._bind(theta, np.zeros_like(theta))
+        self._scratch: dict[int, tuple[np.ndarray, ...]] = {}
         self._token = 0
+
+    def _bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Make the parameters views of ``theta`` and the gradients views of ``grad``."""
+        shapes = (self.w1b1.shape, self.w2.shape, self.b2.shape)
+        cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+        self.w1b1, self.w2, self.b2 = map(np.reshape, np.split(theta, cuts), shapes)
+        self.dw1b1, self.dw2, self.db2 = map(np.reshape, np.split(grad, cuts), shapes)
+        self.w1, self.b1 = self.w1b1[:, :-1], self.w1b1[:, -1]
+        self.theta, self.grad = theta, grad
 
     @classmethod
     def initialize(
@@ -105,17 +123,22 @@ class Mlp:
     def out_dim(self) -> int:
         return self.w2.shape[0]
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays, keyed for the optimizer."""
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def _buffers(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """(hidden, mask) scratch arrays of shape (hidden_dim, batch)."""
-        bufs = self._scratch.get(batch)
+    def _buffers(self, rows: int) -> tuple[np.ndarray, ...]:
+        """(x_aug, x, hidden, mask): the input with its ones row, its (rows,
+        in_dim) view without it, and the (hidden_dim, rows) arrays."""
+        bufs = self._scratch.get(rows)
         if bufs is None:
-            bufs = (np.empty((self.hidden_dim, batch)), np.empty((self.hidden_dim, batch)))
-            self._scratch[batch] = bufs
+            x_aug = np.empty((self.in_dim + 1, rows))
+            x_aug[-1] = 1.0
+            hidden, mask = np.empty((self.hidden_dim, rows)), np.empty((self.hidden_dim, rows))
+            bufs = (x_aug, x_aug[:-1].T, hidden, mask)
+            self._scratch[rows] = bufs
         return bufs
+
+    def input_buffer(self, rows: int) -> np.ndarray:
+        """The (rows, in_dim) input view for batches of ``rows``, the transpose
+        of a C-contiguous array; a batch written here is not copied by forward."""
+        return self._buffers(rows)[1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
         """(rows, out_dim) outputs of the (rows, in_dim) batch ``x``, and the cache."""
@@ -124,58 +147,51 @@ class Mlp:
             raise ParameterError(
                 f"input must be (batch, {self.in_dim}), got {x.shape}"
             )
-        hidden = self._buffers(x.shape[0])[0]
-        np.matmul(self.w1, x.T, out=hidden)
-        hidden += self.b1[:, None]
+        x_aug, x_view, hidden, _ = self._buffers(x.shape[0])
+        if x is not x_view:
+            x_view[...] = x
+        np.matmul(self.w1b1, x_aug, out=hidden)
         np.maximum(hidden, 0.0, out=hidden)
         out = (self.w2 @ hidden).T + self.b2
         self._token += 1
-        return out, MlpCache(x=x, hidden=hidden, owner=self, token=self._token)
+        return out, MlpCache(x=x_aug, hidden=hidden, owner=self, token=self._token)
 
-    def backward(self, cache: MlpCache, dout: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact parameter gradients of the forward map; ReLU subgradient at 0 is 0."""
+    def backward(self, cache: MlpCache, dout: np.ndarray) -> None:
+        """Exact parameter gradients into ``grad``; ReLU subgradient at 0 is 0."""
         dout = np.asarray(dout, dtype=np.float64)
         if cache.owner is not self or cache.token != self._token:
             raise ParameterError("stale cache: backward must follow its own forward")
-        x = cache.x
-        rows = x.shape[0]
-        if (
-            x.ndim != 2
-            or x.shape[1] != self.in_dim
-            or cache.hidden.shape != (self.hidden_dim, rows)
-            or dout.shape != (rows, self.out_dim)
-        ):
-            raise ParameterError("cache does not match this network and output gradient")
+        x_aug, hidden = cache.x, cache.hidden
+        rows = x_aug.shape[1]
+        if dout.shape != (rows, self.out_dim):
+            raise ParameterError("output gradient does not match the cached batch")
         # 0/1 float mask: relu'(pre) with the subgradient at 0 defined as 0
-        mask = np.greater(cache.hidden, 0.0, out=self._buffers(rows)[1])
-        dw2 = dout.T @ cache.hidden.T
-        db2 = dout.sum(axis=0)
+        mask = np.greater(hidden, 0.0, out=self._buffers(rows)[3])
+        np.matmul(dout.T, hidden.T, out=self.dw2)
+        dout.sum(axis=0, out=self.db2)
         if self.out_dim == 1:
             # dpre = w2^T dout^T * mask factorizes through the scalar output:
-            # one matmul mask @ [x * dout, dout] gives dw1 and db1 up to the
-            # factor w2, applied afterwards
-            rhs = np.empty((self.in_dim + 1, rows))
-            np.multiply(x.T, dout.T, out=rhs[:-1])
-            rhs[-1] = dout[:, 0]
-            g = mask @ rhs.T
-            dw1 = self.w2[0][:, None] * g[:, :-1]
-            db1 = self.w2[0] * g[:, -1]
+            # one matmul mask @ (x_aug * dout)^T gives the whole first-layer
+            # block, bias column included, up to the factor w2, applied after
+            np.matmul(mask, (x_aug * dout.T).T, out=self.dw1b1)
+            self.dw1b1 *= self.w2[0][:, None]
         else:
             dpre = self.w2.T @ dout.T
             dpre *= mask
-            dw1 = dpre @ x
-            db1 = dpre.sum(axis=1)
-        return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+            np.matmul(dpre, x_aug[:-1].T, out=self.dw1b1[:, :-1])
+            dpre.sum(axis=1, out=self.dw1b1[:, -1])
 
 
 class CondGaussianHead:
-    """Diagonal Gaussian q(v | u) with MLP mean and log-variance heads."""
+    """Diagonal Gaussian q(v | u) with MLP mean and log-variance heads,
+    packed in that order into one ``theta`` and one ``grad``."""
 
     def __init__(self, mu_net: Mlp, logvar_net: Mlp):
         if mu_net.in_dim != logvar_net.in_dim or mu_net.out_dim != logvar_net.out_dim:
             raise ParameterError("mean and log-variance heads must share dimensions")
         self.mu_net = mu_net
         self.logvar_net = logvar_net
+        self.theta, self.grad = pack_parameters((mu_net, logvar_net))
 
     @classmethod
     def initialize(
@@ -197,11 +213,6 @@ class CondGaussianHead:
     def v_dim(self) -> int:
         return self.mu_net.out_dim
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        out = {f"mu.{k}": p for k, p in self.mu_net.parameters().items()}
-        out.update({f"logvar.{k}": p for k, p in self.logvar_net.parameters().items()})
-        return out
-
 
 class CondGaussianCache(NamedTuple):
     mu_cache: MlpCache
@@ -210,15 +221,14 @@ class CondGaussianCache(NamedTuple):
     logvar_raw: np.ndarray
     logvar: np.ndarray
     inv_var: np.ndarray
-    resid: np.ndarray
     v: np.ndarray
 
 
-def cond_gaussian_logpdf(
+def cond_gaussian_forward(
     head: CondGaussianHead, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, CondGaussianCache]:
-    """Row-wise log q(v_i | u_i), log-variances clamped to [-10, 10], and the
-    cache that the backward pass and the all-pairs matrix both work from."""
+) -> CondGaussianCache:
+    """Both heads on the batch, log-variances clamped to [-10, 10]: the cache
+    that the row log-densities, the all-pairs matrix and backward work from."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
@@ -229,17 +239,20 @@ def cond_gaussian_logpdf(
     logvar_raw, logvar_cache = head.logvar_net.forward(u)
     logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
     inv_var = np.exp(-logvar)
-    resid = v - mu
-    per_dim = -0.5 * _LOG_2PI - 0.5 * logvar - 0.5 * resid * resid * inv_var
-    logpdf = per_dim.sum(axis=1)
-    cache = CondGaussianCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, resid, v)
-    return logpdf, cache
+    return CondGaussianCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v)
+
+
+def cond_gaussian_logpdf(cache: CondGaussianCache) -> np.ndarray:
+    """Row-wise log q(v_i | u_i) from the cache of :func:`cond_gaussian_forward`."""
+    resid = cache.v - cache.mu
+    per_dim = -0.5 * _LOG_2PI - 0.5 * cache.logvar - 0.5 * resid * resid * cache.inv_var
+    return per_dim.sum(axis=1)
 
 
 def cond_gaussian_logpdf_backward(
     head: CondGaussianHead, cache: CondGaussianCache, dlogpdf: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of sum(dlogpdf * logpdf) w.r.t. the head parameters.
+) -> None:
+    """Gradients of sum(dlogpdf * logpdf) w.r.t. the head, into ``head.grad``.
 
     The clamp contributes zero gradient outside [-10, 10].
     """
@@ -247,20 +260,18 @@ def cond_gaussian_logpdf_backward(
     if dlogpdf.shape != (cache.v.shape[0],):
         raise ParameterError("dlogpdf must be one value per row")
     w = dlogpdf[:, None]
-    dmu = w * cache.resid * cache.inv_var
-    dlogvar = w * (-0.5 + 0.5 * cache.resid * cache.resid * cache.inv_var)
+    resid = cache.v - cache.mu
+    dmu = w * resid * cache.inv_var
+    dlogvar = w * (-0.5 + 0.5 * resid * resid * cache.inv_var)
     dlogvar *= (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
-    mu_grads = head.mu_net.backward(cache.mu_cache, dmu)
-    lv_grads = head.logvar_net.backward(cache.logvar_cache, dlogvar)
-    grads = {f"mu.{k}": g for k, g in mu_grads.items()}
-    grads.update({f"logvar.{k}": g for k, g in lv_grads.items()})
-    return grads
+    head.mu_net.backward(cache.mu_cache, dmu)
+    head.logvar_net.backward(cache.logvar_cache, dlogvar)
 
 
 def cond_gaussian_logpdf_matrix(cache: CondGaussianCache) -> np.ndarray:
     """All-pairs log q(v_j | u_i) as an (N, N) matrix (no gradients).
 
-    Built from the cache of :func:`cond_gaussian_logpdf` on (u, v) by
+    Built from the cache of :func:`cond_gaussian_forward` on (u, v) by
     expanding the squared residual; no network runs again.
     """
     mu, inv_var, v = cache.mu, cache.inv_var, cache.v
@@ -270,20 +281,17 @@ def cond_gaussian_logpdf_matrix(cache: CondGaussianCache) -> np.ndarray:
     return const[:, None] + cross - quad
 
 
-def pack_parameters(nets: tuple[Mlp, ...]) -> np.ndarray:
-    """Copy the nets' arrays into one contiguous vector and rebind them as views.
-
-    The layout is net by net in ``parameters()`` order, which is also the order
-    of the gradient dicts that ``backward`` returns, so concatenating those
-    dicts gives the gradient of the returned vector.
-    """
-    theta = np.concatenate([p.ravel() for net in nets for p in net.parameters().values()])
+def pack_parameters(nets: tuple[Mlp, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the nets' parameters, net by net, into one ``theta`` and rebind
+    every net's parameter and gradient views into it and a ``grad`` beside it."""
+    theta = np.concatenate([net.theta for net in nets])
+    grad = np.zeros_like(theta)
     offset = 0
     for net in nets:
-        for name, p in net.parameters().items():
-            setattr(net, name, theta[offset : offset + p.size].reshape(p.shape))
-            offset += p.size
-    return theta
+        end = offset + net.theta.size
+        net._bind(theta[offset:end], grad[offset:end])
+        offset = end
+    return theta, grad
 
 
 @dataclass

@@ -153,7 +153,7 @@ def test_criterion_4_gradient_integrity():
             worst_raw = max(worst_raw, rep.worst_raw)
             kinks += len(rep.kink_coords)
             zeros += rep.zero_verified
-            total += sum(p.size for p in probe.params.values())
+            total += probe.theta.size
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and kinks <= 0.01 * total and elapsed < 30.0
     assert report(

@@ -147,8 +147,7 @@ class TestMakeTcEstimator:
         a = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=99)
         b = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=99)
         for ta, tb in zip(a.terms, b.terms):
-            for key, arr in ta.parameters().items():
-                assert np.array_equal(arr, tb.parameters()[key])
+            assert np.array_equal(ta.theta, tb.theta)
 
     def test_vector_blocks(self):
         plan = build_plan(3, PathKind.LINE)
@@ -174,8 +173,7 @@ class TestTcTraining:
         plan = build_plan(4, PathKind.TREE)
         est = make_tc_estimator(plan, MiEstimatorKind.MINE, seed=0)
         for term_est in est.terms:
-            for arr in term_est.parameters().values():
-                arr[...] = 0.0
+            term_est.theta[:] = 0.0
         batch = sample(equicorrelated_sigma(4, 0.5), 16, np.random.default_rng(0))
         total, per_term = tc_train_step(est, batch)
         assert total == 0.0
@@ -215,12 +213,9 @@ class TestTcTraining:
     def test_evaluate_does_not_update(self):
         est = make_tc_estimator(build_plan(4, PathKind.LINE), MiEstimatorKind.CLUB, seed=1)
         batch = sample(equicorrelated_sigma(4, 0.5), 16, np.random.default_rng(3))
-        before = [
-            {k: arr.copy() for k, arr in t.parameters().items()} for t in est.terms
-        ]
+        before = [t.theta.copy() for t in est.terms]
         total_a, _ = tc_evaluate(est, batch)
         total_b, _ = tc_evaluate(est, batch)
         assert total_a == total_b
         for term_est, saved in zip(est.terms, before):
-            for key, arr in term_est.parameters().items():
-                assert np.array_equal(arr, saved[key])
+            assert np.array_equal(term_est.theta, saved)

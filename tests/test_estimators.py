@@ -56,12 +56,12 @@ def critic_loss_probe(critic, u, v, loss_fn):
     """LossProbe of loss_fn(scores) through the critic's forward and backward."""
 
     def loss_grad_sig():
-        scores, cache, _ = pair_scores(critic, u, v)
+        scores, cache = pair_scores(critic, u, v)
         loss, grad = loss_fn(scores)
-        grads = critic.backward(cache, grad.reshape(-1, 1))
-        return loss, grads, np.packbits(cache.hidden > 0).tobytes()
+        critic.backward(cache, grad.reshape(-1, 1))
+        return loss, critic.grad, np.packbits(cache.hidden > 0).tobytes()
 
-    return LossProbe("critic", critic.parameters(), loss_grad_sig)
+    return LossProbe("critic", critic.theta, loss_grad_sig)
 
 
 def train_on_gaussian(kind, rho=0.9, steps=4000, seed=1234, dim=2):
@@ -97,6 +97,13 @@ class TestScoreMatrix:
         critic = Mlp.initialize(2, 4, 1, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             scores_of(critic, np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_rejects_pairs_narrower_than_critic(self):
+        # the grid is written into the critic's buffer, where a narrower v
+        # would broadcast over the missing rows instead of failing
+        critic = Mlp.initialize(3, 4, 1, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="pair width 2"):
+            scores_of(critic, np.zeros((4, 1)), np.zeros((4, 1)))
 
 
 class TestMineValue:
@@ -241,9 +248,9 @@ class TestClubValue:
         v = rng.standard_normal((8, 1))
 
         def loss_grad_sig():
-            return (*club_bound(head, u, v)[1:], b"")
+            return club_bound(head, u, v)[1], head.grad, b""
 
-        assert fd_report(LossProbe("CLUB", head.parameters(), loss_grad_sig)).worst_raw < 1e-4
+        assert fd_report(LossProbe("CLUB", head.theta, loss_grad_sig)).worst_raw < 1e-4
 
     def test_training_reduces_nll_in_coarse_averages(self):
         model = equicorrelated_sigma(2, 0.9)
@@ -299,9 +306,8 @@ class TestGradientMutationDetection:
         original = Mlp.backward
 
         def corrupted(self, cache, dout):
-            grads = original(self, cache, dout)
-            grads["w2"] = grads["w2"] * 1.01
-            return grads
+            original(self, cache, dout)
+            self.dw2 *= 1.01
 
         monkeypatch.setattr(Mlp, "backward", corrupted)
         ok, _ = check_gradient_integrity(points=1)
@@ -312,8 +318,7 @@ class TestTrainStep:
     def test_zero_initialized_mine_starts_at_zero(self):
         rng = np.random.default_rng(11)
         est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, rng)
-        for arr in est.parameters().values():
-            arr[...] = 0.0
+        est.theta[:] = 0.0
         batch = np.random.default_rng(0).standard_normal((16, 2))
         assert train_step(est, batch[:, :1], batch[:, 1:]) == 0.0
 
@@ -321,14 +326,21 @@ class TestTrainStep:
     def test_parameters_are_views_of_theta(self, kind):
         rng = np.random.default_rng(14)
         est = create_term_estimator(kind, 2, 1, rng)
-        params = est.parameters()
-        assert sum(p.size for p in params.values()) == est.theta.size
-        assert all(np.shares_memory(p, est.theta) for p in params.values())
+        nets = (est.head.mu_net, est.head.logvar_net) if est.head else (est.critic,)
+        params = [p for net in nets for p in (net.w1b1, net.w1, net.b1, net.w2, net.b2)]
+        grads = [g for net in nets for g in (net.dw1b1, net.dw2, net.db2)]
+        assert sum(net.w1b1.size + net.w2.size + net.b2.size for net in nets) == est.theta.size
+        assert est.grad.shape == est.theta.shape
+        assert all(np.shares_memory(p, est.theta) for p in params)
+        assert all(np.shares_memory(g, est.grad) for g in grads)
         before = est.theta.copy()
         train_step(est, rng.standard_normal((16, 2)), rng.standard_normal((16, 1)))
         assert not np.array_equal(est.theta, before)
-        flat = np.concatenate([p.ravel() for p in est.parameters().values()])
-        assert np.array_equal(flat, est.theta)
+        # theta holds each net as [w1 | b1] row by row, then w2 and b2, and
+        # grad holds the gradient views in the same places
+        flat = [[np.column_stack([n.w1, n.b1]), n.w2, n.b2] for n in nets]
+        assert np.array_equal(np.concatenate([p.ravel() for ps in flat for p in ps]), est.theta)
+        assert np.array_equal(np.concatenate([g.ravel() for g in grads]), est.grad)
 
     def test_deterministic_given_seed(self):
         def run():

@@ -191,8 +191,7 @@ class TestEvaluateMetrics:
         # zeroed InfoNCE critics estimate exactly 0, and truth is 0 for rho=0
         est = make_tc_estimator(build_plan(4, PathKind.LINE), MiEstimatorKind.INFONCE, seed=0)
         for term_est in est.terms:
-            for arr in term_est.parameters().values():
-                arr[...] = 0.0
+            term_est.theta[:] = 0.0
         model = equicorrelated_sigma(4, 0.0)
         bias, variance, mse = evaluate_metrics(est, model, 8, np.random.default_rng(1), 8)
         assert (bias, variance, mse) == (0.0, 0.0, 0.0)
@@ -426,6 +425,16 @@ class TestTracePersistence:
         with pytest.raises(TraceParseError, match=f"line {line}.*{message}"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["99999999999999999999,2.0,0.5,0.5,1,0.25", "1,2.0,0.5,0.5,-9223372036854775809,0.25"],
+    )
+    def test_integer_beyond_int64_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(harness.TRACE_HEADER + "\n1,2.0,0.5,0.5,0,0.25\n" + row + "\n")
+        with pytest.raises(TraceParseError, match="line 3: .* does not fit in int64"):
+            load_trace(path)
+
     def test_numbers_python_reads_are_accepted(self, tmp_path):
         # int() and float() accept digit separators, which numpy's parser does not
         path = tmp_path / "trace.csv"
@@ -503,6 +512,16 @@ class TestMetricsPersistence:
         path = tmp_path / "metrics.csv"
         persist_metrics(rows, path)
         assert load_metrics(path) == rows
+
+    def test_eval_batches_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(
+            "estimator,path,target_tc,bias,variance,mse,eval_batches,seed\n"
+            "MINE,TREE,2,0,0,0,4,0\n"
+            "NWJ,TREE,2,0,0,0,9223372036854775808,0\n"
+        )
+        with pytest.raises(TraceParseError, match="line 3: .* does not fit in int64"):
+            load_metrics(path)
 
     def test_non_ascii_byte_names_line(self, tmp_path):
         path = tmp_path / "metrics.csv"

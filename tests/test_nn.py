@@ -1,21 +1,32 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from totalcorr.diagnostics import LossProbe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
-from totalcorr.estimators import _pair_inputs
+from totalcorr.estimators import LOWER_BOUNDS, MiEstimatorKind, create_term_estimator, train_step
 from totalcorr.nn import (
     AdamState,
     CondGaussianHead,
     Mlp,
     adam_step,
+    cond_gaussian_forward,
     cond_gaussian_logpdf,
     cond_gaussian_logpdf_backward,
     cond_gaussian_logpdf_matrix,
     pack_parameters,
 )
+
+
+def pack(w1, b1, w2, b2):
+    """One net's arrays in theta's layout: [w1 | b1] row by row, w2, b2."""
+    return np.concatenate([np.column_stack([w1, b1]).ravel(), w2.ravel(), b2])
+
+
+def logpdf_rows(head, u, v):
+    return cond_gaussian_logpdf(cond_gaussian_forward(head, u, v))
 
 
 def constant_head(u_dim=1, v_dim=1):
@@ -64,8 +75,7 @@ class TestMlpForward:
     def test_seeded_initialization_is_reproducible(self):
         a = Mlp.initialize(4, 20, 1, np.random.default_rng(42))
         b = Mlp.initialize(4, 20, 1, np.random.default_rng(42))
-        for k in a.parameters():
-            assert np.array_equal(a.parameters()[k], b.parameters()[k])
+        assert np.array_equal(a.theta, b.theta)
 
 
 class TestMlpBackward:
@@ -73,8 +83,9 @@ class TestMlpBackward:
         rng = np.random.default_rng(3)
         net = Mlp.initialize(2, 5, 3, rng)
         out, cache = net.forward(rng.standard_normal((4, 2)))
-        grads = net.backward(cache, np.zeros_like(out))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
+        net.grad[:] = np.nan
+        net.backward(cache, np.zeros_like(out))
+        assert np.array_equal(net.grad, np.zeros_like(net.grad))
 
     def test_linear_region_matches_hand_gradient(self):
         # biases large enough that every preactivation is positive
@@ -87,11 +98,11 @@ class TestMlpBackward:
         x = np.array([[0.5, -0.25]])
         out, cache = net.forward(x)
         assert out[0, 0] == -0.5
-        grads = net.backward(cache, np.array([[1.0]]))
-        assert np.array_equal(grads["w2"], np.array([[10.0, 10.5]]))
-        assert np.array_equal(grads["b2"], np.array([1.0]))
-        assert np.array_equal(grads["w1"], np.array([[0.5, -0.25], [-0.5, 0.25]]))
-        assert np.array_equal(grads["b1"], np.array([1.0, -1.0]))
+        net.backward(cache, np.array([[1.0]]))
+        assert np.array_equal(net.dw2, np.array([[10.0, 10.5]]))
+        assert np.array_equal(net.db2, np.array([1.0]))
+        assert np.array_equal(net.dw1b1[:, :-1], np.array([[0.5, -0.25], [-0.5, 0.25]]))
+        assert np.array_equal(net.dw1b1[:, -1], np.array([1.0, -1.0]))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -101,10 +112,10 @@ class TestMlpBackward:
 
         def loss_grad_sig():
             out, cache = net.forward(x)
-            grads = net.backward(cache, weights)
-            return float((out * weights).sum()), grads, np.packbits(cache.hidden > 0).tobytes()
+            net.backward(cache, weights)
+            return float((out * weights).sum()), net.grad, np.packbits(cache.hidden > 0).tobytes()
 
-        assert fd_report(LossProbe("mlp", net.parameters(), loss_grad_sig)).worst_raw < 1e-4
+        assert fd_report(LossProbe("mlp", net.theta, loss_grad_sig)).worst_raw < 1e-4
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(14)
@@ -129,13 +140,16 @@ def plain_mlp(net, x, dout):
     hidden = np.maximum(pre, 0.0)
     out = hidden @ net.w2.T + net.b2
     dpre = (dout @ net.w2) * (pre > 0.0)
-    grads = {
-        "w1": dpre.T @ x,
-        "b1": dpre.sum(axis=0),
-        "w2": dout.T @ hidden,
-        "b2": dout.sum(axis=0),
-    }
-    return out, grads
+    grad = pack(dpre.T @ x, dpre.sum(axis=0), dout.T @ hidden, dout.sum(axis=0))
+    return out, grad
+
+
+def split(net, vec):
+    """w1, b1, w2 and b2 of one net's vector in theta's layout."""
+    a = net.w1b1.size
+    b = a + net.w2.size
+    block = vec[:a].reshape(net.w1b1.shape)
+    return block[:, :-1], block[:, -1], vec[a:b].reshape(net.w2.shape), vec[b:]
 
 
 def assert_rel_close(got, want, rtol=1e-12):
@@ -155,27 +169,71 @@ class TestMlpAgainstPlainNumpy:
         if layout == "row-major":
             x = rng.standard_normal((4096, 4))
         else:
-            # the (N*N, d) transpose of the feature-major grid pair_scores builds
+            # the pair grid as pair_scores writes it: feature-major, straight
+            # into the net's input buffer, which forward reads without a copy
             u, v = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
-            x = _pair_inputs(u, v, None).T
+            x = net.input_buffer(4096)
             assert x.T.flags.c_contiguous
+            grid = x.T.reshape(4, 64, 64)
+            grid[:2] = u.T[:, :, None]
+            grid[2:] = v.T[:, None, :]
         dout = rng.standard_normal((4096, out_dim))
-        want_out, want_grads = plain_mlp(net, x, dout)
+        want_out, want_grad = plain_mlp(net, x, dout)
         out, cache = net.forward(x)
         assert_rel_close(out, want_out)
-        grads = net.backward(cache, dout)
-        assert list(grads) == ["w1", "b1", "w2", "b2"]
-        for name, want in want_grads.items():
-            assert_rel_close(grads[name], want)
+        net.backward(cache, dout)
+        for got, want in zip(split(net, net.grad), split(net, want_grad)):
+            assert_rel_close(got, want)
+
+
+class TestGradientLayout:
+    # InfoNCE is left out: its output-bias gradient is zero in exact
+    # arithmetic, so a relative tolerance would compare rounding noise
+    @pytest.mark.parametrize(
+        "kind", [MiEstimatorKind.MINE, MiEstimatorKind.NWJ, MiEstimatorKind.CLUB]
+    )
+    def test_grad_after_train_step_matches_plain_numpy(self, kind):
+        # est.grad after one step is the gradient at the parameters before it,
+        # packed in theta's layout; a CLUB head with two outputs runs the
+        # general backward, the scalar critic the factorized one
+        rng = np.random.default_rng(18)
+        n, v_dim = 16, 2 if kind is MiEstimatorKind.CLUB else 1
+        est = create_term_estimator(kind, 2, v_dim, rng)
+        nets = (est.head.mu_net, est.head.logvar_net) if est.head else (est.critic,)
+        u, v = rng.standard_normal((n, 2)), rng.standard_normal((n, v_dim))
+        before, ema = est.theta.copy(), est.ema_denominator
+        train_step(est, u, v)
+        old, offset = [], 0
+        for net in nets:
+            w1, b1, w2, b2 = split(net, before[offset : offset + net.theta.size])
+            old.append(SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2))
+            offset += net.theta.size
+        if kind is MiEstimatorKind.CLUB:
+            mu = plain_mlp(old[0], u, np.zeros((n, v_dim)))[0]
+            raw = plain_mlp(old[1], u, np.zeros((n, v_dim)))[0]
+            inv_var = np.exp(-np.clip(raw, -10.0, 10.0))
+            resid, w = v - mu, -1.0 / n
+            dmu = w * resid * inv_var
+            dlogvar = w * (-0.5 + 0.5 * resid * resid * inv_var) * (np.abs(raw) <= 10.0)
+            wants = [plain_mlp(old[0], u, dmu)[1], plain_mlp(old[1], u, dlogvar)[1]]
+        else:
+            x = np.concatenate([np.repeat(u, n, axis=0), np.tile(v, (n, 1))], axis=1)
+            scores = plain_mlp(old[0], x, np.zeros((n * n, 1)))[0].reshape(n, n)
+            dscores = LOWER_BOUNDS[kind](scores, ema)[2]
+            wants = [plain_mlp(old[0], x, dscores.reshape(-1, 1))[1]]
+        assert np.array_equal(est.grad, np.concatenate([net.grad for net in nets]))
+        for net, want in zip(nets, wants):
+            for got_part, want_part in zip(split(net, net.grad), split(net, want)):
+                assert_rel_close(got_part, want_part)
 
 
 class TestCondGaussian:
     def test_standard_normal_at_mode(self):
-        lp, _ = cond_gaussian_logpdf(constant_head(), np.zeros((1, 1)), np.zeros((1, 1)))
+        lp = logpdf_rows(constant_head(), np.zeros((1, 1)), np.zeros((1, 1)))
         assert lp[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_standard_normal_one_sigma_out(self):
-        lp, _ = cond_gaussian_logpdf(constant_head(), np.zeros((1, 1)), np.ones((1, 1)))
+        lp = logpdf_rows(constant_head(), np.zeros((1, 1)), np.ones((1, 1)))
         assert lp[0] == pytest.approx(-0.5 * math.log(2 * math.pi) - 0.5, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -186,37 +244,37 @@ class TestCondGaussian:
         weights = rng.standard_normal(5)
 
         def loss_grad_sig():
-            lp, cache = cond_gaussian_logpdf(head, u, v)
-            grads = cond_gaussian_logpdf_backward(head, cache, weights)
-            return float((lp * weights).sum()), grads, b""
+            cache = cond_gaussian_forward(head, u, v)
+            cond_gaussian_logpdf_backward(head, cache, weights)
+            return float((cond_gaussian_logpdf(cache) * weights).sum()), head.grad, b""
 
-        assert fd_report(LossProbe("head", head.parameters(), loss_grad_sig)).worst_raw < 1e-4
+        assert fd_report(LossProbe("head", head.theta, loss_grad_sig)).worst_raw < 1e-4
 
     def test_logvar_clamp_bounds_density(self):
         # a huge log-variance bias must clamp at 10 instead of exploding
         big = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.array([1e4]))
         zero = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
         head = CondGaussianHead(zero, big)
-        lp, _ = cond_gaussian_logpdf(head, np.zeros((1, 1)), np.zeros((1, 1)))
+        lp = logpdf_rows(head, np.zeros((1, 1)), np.zeros((1, 1)))
         assert lp[0] == pytest.approx(-0.5 * math.log(2 * math.pi) - 5.0, abs=1e-12)
 
     def test_clamped_logvar_has_zero_gradient(self):
         big = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.array([1e4]))
         zero = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
         head = CondGaussianHead(zero, big)
-        _, cache = cond_gaussian_logpdf(head, np.zeros((2, 1)), np.ones((2, 1)))
-        grads = cond_gaussian_logpdf_backward(head, cache, np.ones(2))
-        assert np.array_equal(grads["logvar.b2"], np.zeros(1))
+        cache = cond_gaussian_forward(head, np.zeros((2, 1)), np.ones((2, 1)))
+        cond_gaussian_logpdf_backward(head, cache, np.ones(2))
+        assert np.array_equal(head.logvar_net.db2, np.zeros(1))
 
     def test_pairwise_matrix_matches_rowwise(self):
         rng = np.random.default_rng(7)
         head = CondGaussianHead.initialize(2, 2, 4, rng)
         u = rng.standard_normal((6, 2))
         v = rng.standard_normal((6, 2))
-        mat = cond_gaussian_logpdf_matrix(cond_gaussian_logpdf(head, u, v)[1])
+        mat = cond_gaussian_logpdf_matrix(cond_gaussian_forward(head, u, v))
         for i in range(6):
             for j in range(6):
-                lp, _ = cond_gaussian_logpdf(head, u[i : i + 1], v[j : j + 1])
+                lp = logpdf_rows(head, u[i : i + 1], v[j : j + 1])
                 assert mat[i, j] == pytest.approx(lp[0], rel=1e-10, abs=1e-10)
 
 
@@ -224,12 +282,15 @@ class TestPackParameters:
     def test_arrays_become_views_in_parameters_order(self):
         rng = np.random.default_rng(12)
         nets = (Mlp.initialize(2, 3, 1, rng), Mlp.initialize(2, 3, 2, rng))
-        before = [p.copy() for net in nets for p in net.parameters().values()]
-        theta = pack_parameters(nets)
-        assert np.array_equal(theta, np.concatenate([p.ravel() for p in before]))
-        after = [p for net in nets for p in net.parameters().values()]
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        before = [p.copy() for net in nets for p in (net.w1, net.b1, net.w2, net.b2)]
+        theta, grad = pack_parameters(nets)
+        assert np.array_equal(theta, np.concatenate([pack(*before[:4]), pack(*before[4:])]))
+        assert grad.shape == theta.shape
+        after = [p for net in nets for p in (net.w1b1, net.w1, net.b1, net.w2, net.b2, net.theta)]
+        grads = [g for net in nets for g in (net.dw1b1, net.dw2, net.db2, net.grad)]
+        assert all(np.array_equal(a, b) for a, b in zip(after[1:5] + after[7:11], before))
         assert all(np.shares_memory(a, theta) for a in after)
+        assert all(np.shares_memory(g, grad) for g in grads)
         theta[:] = 0.0
         assert all(not p.any() for p in after)
 
@@ -294,20 +355,35 @@ class TestAdam:
 class TestGradientCheck:
     def test_linear_loss_is_near_exact(self):
         rng = np.random.default_rng(11)
-        params = {"w": rng.standard_normal(5)}
+        theta = rng.standard_normal(5)
         coef = rng.standard_normal(5)
 
         def loss_grad_sig():
-            return float(params["w"] @ coef), {"w": coef}, b""
+            return float(theta @ coef), coef, b""
 
-        assert fd_report(LossProbe("linear", params, loss_grad_sig)).worst_raw < 1e-8
+        assert fd_report(LossProbe("linear", theta, loss_grad_sig)).worst_raw < 1e-8
 
     def test_detects_a_corrupted_gradient(self):
-        params = {"w": np.array([0.3, -0.7])}
+        theta = np.array([0.3, -0.7])
 
         def loss_grad_sig():
-            w = params["w"]
-            return float((w * w).sum()), {"w": 2.5 * w}, b""  # wrong scale
+            return float((theta * theta).sum()), 2.5 * theta, b""  # wrong scale
 
-        report = fd_report(LossProbe("quadratic", params, loss_grad_sig))
+        report = fd_report(LossProbe("quadratic", theta, loss_grad_sig))
+        assert report.worst_checked > 1e-2
+
+    def test_detects_a_gradient_in_another_layout(self):
+        # the right numbers in [w1, b1, w2, b2] order instead of theta's
+        rng = np.random.default_rng(19)
+        net = Mlp.initialize(2, 3, 1, rng)
+        x = rng.standard_normal((6, 2))
+        weights = rng.standard_normal((6, 1))
+
+        def loss_grad_sig():
+            out, cache = net.forward(x)
+            net.backward(cache, weights)
+            moved = np.concatenate([part.ravel() for part in split(net, net.grad)])
+            return float((out * weights).sum()), moved, np.packbits(cache.hidden > 0).tobytes()
+
+        report = fd_report(LossProbe("mlp", net.theta, loss_grad_sig))
         assert report.worst_checked > 1e-2
