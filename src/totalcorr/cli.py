@@ -1,26 +1,28 @@
 """Command-line front end: run experiments, report metrics, plot traces,
 and self-check the numerical identities.
 
-Exit codes: 0 on success, 1 on usage/config errors, 2 when some (estimator,
-path) runs failed while others completed.
+Exit codes: 0 on success, 1 on usage, config, input or output errors (one
+``error:`` line, from :func:`main`), 2 when some (estimator, path) runs
+failed while others completed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 from . import diagnostics
-from .decomposition import PathKind
-from .errors import ConfigError, ParameterError, TotalCorrError, TraceParseError
-from .estimators import MiEstimatorKind
+from .errors import ConfigError, ParameterError, TotalCorrError
 from .harness import (
     METRICS_HEADER,
     ExperimentConfig,
     load_metrics,
     load_trace,
+    metrics_cells,
     persist_metrics,
     persist_trace,
     run_experiment,
@@ -45,34 +47,26 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- config file
 
-_LIST_KEYS = {"tc_targets", "estimators", "paths"}
-_INT_KEYS = {"dim", "steps_per_target", "batch_size", "hidden", "smoothing_bandwidth", "eval_batches", "seed"}
-_FLOAT_KEYS = {"lr"}
-_BOOL_KEYS = {"fresh_networks_per_target"}
+# The config file's keys and value types are the fields of ExperimentConfig.
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _coerce(key: str, value: str):
-    try:
-        if key == "tc_targets":
-            return tuple(float(v) for v in value.split(",") if v.strip())
-        if key == "estimators":
-            return tuple(MiEstimatorKind(v.strip().upper()) for v in value.split(","))
-        if key == "paths":
-            return tuple(PathKind(v.strip().upper()) for v in value.split(","))
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
+def _coerce(hint, value: str):
+    """``value`` parsed as the type ``hint``; a tuple is a comma-separated list
+    whose items are stripped and whose empty items are skipped."""
+    if typing.get_origin(hint) is tuple:
+        item_hint = typing.get_args(hint)[0]
+        return tuple(_coerce(item_hint, v.strip()) for v in value.split(",") if v.strip())
+    if hint is bool:
+        lowered = value.lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise ValueError(f"not a boolean: {value!r}")
+    if issubclass(hint, Enum):
+        return hint(value.upper())
+    return hint(value)
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
@@ -94,10 +88,12 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        if key not in _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
-        fields[key] = _coerce(key, value)
+        try:
+            fields[key] = _coerce(_FIELD_TYPES[key], value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: invalid value for {key!r}: {exc}") from exc
     try:
         return ExperimentConfig(**fields)
     except ParameterError as exc:
@@ -107,11 +103,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 # ------------------------------------------------------------------- commands
 
 def _cmd_run(args) -> int:
-    try:
-        config = parse_config_file(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = parse_config_file(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.jobs < 1:  # run_experiment checks it too, but only after --out exists
@@ -129,40 +121,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    labelled = []
-    for trace_path in args.traces:
-        try:
-            labelled.append((Path(trace_path).stem, load_trace(trace_path)))
-        except (TraceParseError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    labelled = [(Path(trace_path).stem, load_trace(trace_path)) for trace_path in args.traces]
     write_svg(labelled, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    try:
-        rows = load_metrics(args.metrics)
-    except (TraceParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    header = METRICS_HEADER.split(",")
-    table = [header]
-    for r in rows:
-        table.append(
-            (
-                r.estimator.value,
-                r.path.value,
-                f"{r.target_tc:g}",
-                f"{r.bias:.6g}",
-                f"{r.variance:.6g}",
-                f"{r.mse:.6g}",
-                str(r.eval_batches),
-                str(r.seed),
-            )
-        )
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
+    table = [METRICS_HEADER.split(",")]
+    table.extend(metrics_cells(r, ".6g") for r in load_metrics(args.metrics))
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
     for i, row in enumerate(table):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         if i == 0:
@@ -238,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TotalCorrError as exc:
+    except (_UsageExit, TotalCorrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

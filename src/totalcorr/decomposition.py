@@ -169,7 +169,8 @@ def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarra
         try:
             values[k] = train_step(term_est, u, v)
         except TrainingError as exc:
-            raise TrainingError(str(exc), kind=est.kind.value, term=k) from exc
+            exc.term = k
+            raise
     return float(np.sum(values)), values
 
 

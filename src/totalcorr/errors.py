@@ -13,24 +13,23 @@ class TrainingError(TotalCorrError, RuntimeError):
     """Training produced a non-finite or otherwise unusable state.
 
     Carries enough context (estimator kind, step, term) to locate the
-    failing update in a long run.
+    failing update in a long run. A layer that catches it sets the field it
+    knows and re-raises it; the message is rendered from the fields.
     """
 
     def __init__(self, message, *, kind=None, step=None, term=None):
-        detail = message
-        tags = []
-        if kind is not None:
-            tags.append(f"estimator={kind}")
-        if term is not None:
-            tags.append(f"term={term}")
-        if step is not None:
-            tags.append(f"step={step}")
-        if tags:
-            detail = f"{message} [{', '.join(tags)}]"
-        super().__init__(detail)
+        super().__init__(message)
         self.kind = kind
         self.step = step
         self.term = term
+
+    def __str__(self):
+        tags = [
+            f"{name}={value}"
+            for name, value in (("estimator", self.kind), ("term", self.term), ("step", self.step))
+            if value is not None
+        ]
+        return f"{self.args[0]} [{', '.join(tags)}]" if tags else self.args[0]
 
 
 class TraceParseError(TotalCorrError, ValueError):

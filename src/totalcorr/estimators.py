@@ -294,5 +294,6 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     try:
         adam_step(est.theta, est.grad, est.adam)
     except TrainingError as exc:
-        raise TrainingError(str(exc), kind=est.kind.value, step=step) from exc
+        exc.kind = est.kind.value
+        raise
     return value

@@ -131,10 +131,13 @@ def solve_rho_for_tc(dim: int, target_tc: float) -> float:
 
     Returns rho in [0, 1) with ``tc_closed_form(equicorrelated_sigma(dim, rho))``
     equal to ``target_tc``; the map is strictly increasing on [0, 1) and onto
-    [0, inf) for dim >= 2.
+    [0, inf) for dim >= 2. The bisection bracket ends at rho = 1 - 1e-12, so a
+    target above the TC there (about 40.75 nats at dim 4) is rejected.
     """
     if dim < 1:
         raise ParameterError(f"dim must be a positive integer, got {dim}")
+    if not math.isfinite(target_tc):
+        raise ParameterError(f"target_tc must be finite, got {target_tc}")
     if target_tc < 0.0:
         raise ParameterError(f"target_tc must be nonnegative, got {target_tc}")
     if target_tc == 0.0:
@@ -142,6 +145,12 @@ def solve_rho_for_tc(dim: int, target_tc: float) -> float:
     if dim < 2:
         raise ParameterError("a single variable has zero total correlation for every rho")
     lo, hi = 0.0, 1.0 - 1e-12
+    ceiling = _equicorrelated_tc(dim, hi)
+    if target_tc > ceiling:
+        raise ParameterError(
+            f"target_tc={target_tc} exceeds {ceiling:.6g}, the largest total correlation "
+            f"the solver reaches for dim={dim}"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

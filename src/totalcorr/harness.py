@@ -12,11 +12,13 @@ purpose[, segment])) with purpose 0 = network init, 1 = training data,
 
 from __future__ import annotations
 
+import math
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +104,8 @@ class ExperimentConfig:
             raise ParameterError(f"dim must be positive, got {self.dim}")
         if not self.tc_targets:
             raise ParameterError("tc_targets must be non-empty")
-        if any(t < 0 for t in self.tc_targets):
-            raise ParameterError("tc_targets must be nonnegative")
+        for target in self.tc_targets:  # each target must be reachable at this dim
+            solve_rho_for_tc(self.dim, target)
         if any(b < a for a, b in zip(self.tc_targets, self.tc_targets[1:])):
             raise ParameterError(f"tc_targets must be nondecreasing: {self.tc_targets}")
         if self.steps_per_target < 1:
@@ -112,8 +114,8 @@ class ExperimentConfig:
             raise ParameterError("batch_size must be at least 2")
         if self.hidden < 1:
             raise ParameterError("hidden must be positive")
-        if self.lr <= 0:
-            raise ParameterError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ParameterError(f"lr must be positive and finite, got {self.lr}")
         if not 1 <= self.smoothing_bandwidth <= self.steps_per_target:
             raise ParameterError(
                 "smoothing_bandwidth must be in [1, steps_per_target], got "
@@ -121,10 +123,12 @@ class ExperimentConfig:
             )
         if self.eval_batches < 2:
             raise ParameterError("eval_batches must be at least 2")
-        if not self.estimators:
-            raise ParameterError("estimators must be non-empty")
-        if not self.paths:
-            raise ParameterError("paths must be non-empty")
+        for name, kinds in (("estimators", self.estimators), ("paths", self.paths)):
+            if not kinds:
+                raise ParameterError(f"{name} must be non-empty")
+            for i, kind in enumerate(kinds):
+                if kind in kinds[:i]:
+                    raise ParameterError(f"{name} lists {kind.value} more than once")
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
@@ -405,13 +409,23 @@ def load_trace(path: str | Path) -> TrainingTrace:
     )
 
 
+def metrics_cells(row: MetricsRow, float_format: str = ".17g") -> list[str]:
+    """The cells of one metrics row in column order: an enum by its value, an
+    int in full and a float as ``float_format`` (17 digits, as in the file)."""
+    cells = []
+    for f in fields(row):
+        value = getattr(row, f.name)
+        if isinstance(value, Enum):
+            cells.append(value.value)
+        elif isinstance(value, (int, np.integer)):
+            cells.append(str(int(value)))
+        else:
+            cells.append(format(float(value), float_format))
+    return cells
+
+
 def persist_metrics(rows: list[MetricsRow], path: str | Path) -> None:
-    lines = [
-        f"{r.estimator.value},{r.path.value},{_fmt(r.target_tc)},{_fmt(r.bias)},"
-        f"{_fmt(r.variance)},{_fmt(r.mse)},{int(r.eval_batches)},{int(r.seed)}"
-        for r in rows
-    ]
-    _write_csv(path, METRICS_HEADER, lines)
+    _write_csv(path, METRICS_HEADER, [",".join(metrics_cells(r)) for r in rows])
 
 
 def load_metrics(path: str | Path) -> list[MetricsRow]:

@@ -206,10 +206,6 @@ class CondGaussianHead:
         return cls(mu_net, logvar_net)
 
     @property
-    def u_dim(self) -> int:
-        return self.mu_net.in_dim
-
-    @property
     def v_dim(self) -> int:
         return self.mu_net.out_dim
 

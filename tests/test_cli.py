@@ -1,3 +1,6 @@
+import dataclasses
+from enum import Enum
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from totalcorr.cli import main, parse_config_file
 from totalcorr.decomposition import PathKind
 from totalcorr.errors import ConfigError
 from totalcorr.estimators import MiEstimatorKind
-from totalcorr.harness import load_metrics, load_trace
+from totalcorr.harness import ExperimentConfig, load_metrics, load_trace
 
 SMOKE_CONFIG = """\
 # smoke-scale run
@@ -52,6 +55,35 @@ class TestConfigParsing:
         assert cfg.lr == 0.001
         assert cfg.fresh_networks_per_target is True
 
+    def test_every_field_parses_back(self, tmp_path):
+        # a non-default value for each field, so a new field is covered too
+        def changed(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, tuple):
+                return value[:1]
+            return value * 2 if isinstance(value, float) else value + 1
+
+        def written(value):
+            if isinstance(value, tuple):
+                return ", ".join(written(v) for v in value)
+            return value.value if isinstance(value, Enum) else str(value)
+
+        default = ExperimentConfig()
+        values = {f.name: changed(getattr(default, f.name)) for f in dataclasses.fields(default)}
+        assert all(v != getattr(default, k) for k, v in values.items())
+        path = tmp_path / "config.txt"
+        path.write_text("".join(f"{k} = {written(v)}\n" for k, v in values.items()))
+        assert parse_config_file(path) == ExperimentConfig(**values)
+
+    def test_list_items_stripped_and_empty_ones_skipped(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("tc_targets = 2, 4,\nestimators = nwj,, club ,\npaths = LINE,\n")
+        cfg = parse_config_file(path)
+        assert cfg.tc_targets == (2.0, 4.0)
+        assert cfg.estimators == (MiEstimatorKind.NWJ, MiEstimatorKind.CLUB)
+        assert cfg.paths == (PathKind.LINE,)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("banana = 4\n")
@@ -61,7 +93,7 @@ class TestConfigParsing:
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("steps_per_target = soon\n")
-        with pytest.raises(ConfigError, match="steps_per_target"):
+        with pytest.raises(ConfigError, match="line 1: invalid value for 'steps_per_target'"):
             parse_config_file(path)
 
     def test_invalid_range_rejected(self, tmp_path):
@@ -114,6 +146,31 @@ class TestRunCommand:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("estimators = NWJ, nwj", "estimators lists NWJ more than once"),
+            ("paths = TREE, LINE, TREE", "paths lists TREE more than once"),
+            ("tc_targets = nan", "target_tc must be finite, got nan"),
+            ("tc_targets = 1e6", "target_tc=1000000.0 exceeds"),
+            ("lr = nan", "lr must be positive and finite, got nan"),
+            ("dim = 1", "single variable"),
+        ],
+    )
+    def test_unrunnable_config_exits_1_before_out(self, smoke_config, tmp_path, capsys, line, message):
+        smoke_config.write_text(SMOKE_CONFIG + line + "\n")
+        code = main(["run", "--config", str(smoke_config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_under_a_file_exits_1_with_one_error_line(self, smoke_config, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["run", "--config", str(smoke_config), "--out", str(tmp_path / "file" / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_byte_identical_reruns(self, smoke_config, tmp_path):
         out_a = tmp_path / "a"
@@ -181,6 +238,16 @@ class TestPlotCommand:
         code = main(["plot", str(bad), "--out", str(tmp_path / "o.svg")])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exits_1_with_one_error_line(self, tmp_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text(
+            "global_step,target_tc,raw_estimate,smoothed_estimate,term_index,term_estimate\n"
+        )
+        code = main(["plot", str(trace), "--out", str(tmp_path / "missing" / "x.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_empty_trace_renders_axes_only(self, tmp_path):
         empty = tmp_path / "empty.csv"

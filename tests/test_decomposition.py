@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from totalcorr.decomposition import (
     tc_evaluate,
     tc_train_step,
 )
+from totalcorr.errors import TrainingError
 from totalcorr.estimators import MiEstimatorKind
 from totalcorr.gaussian import sample
 
@@ -219,3 +221,16 @@ class TestTcTraining:
         assert total_a == total_b
         for term_est, saved in zip(est.terms, before):
             assert np.array_equal(term_est.theta, saved)
+
+    def test_training_error_carries_each_layers_field_once(self):
+        est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.NWJ, seed=0)
+        est.terms[1].critic.b2[...] = 1e6  # e^(score-1) overflows to inf
+        batch = sample(equicorrelated_sigma(4, 0.5), 8, np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as info:
+            tc_train_step(est, batch)
+        exc = info.value
+        assert (exc.kind, exc.term, exc.step) == ("NWJ", 1, 1)
+        assert str(exc) == "non-finite loss [estimator=NWJ, term=1, step=1]"
+        # pool workers send it to the parent pickled
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (copy.kind, copy.term, copy.step, str(copy)) == ("NWJ", 1, 1, str(exc))

@@ -131,6 +131,17 @@ class TestSolveRho:
         with pytest.raises(ParameterError):
             solve_rho_for_tc(4, -0.5)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 41.0, 1e6])
+    def test_rejects_target_it_cannot_reach(self, target):
+        # the bracket ends at rho = 1 - 1e-12, where the TC is 40.75 nats at dim 4
+        with pytest.raises(ParameterError, match=f"target_tc.*{target}"):
+            solve_rho_for_tc(4, target)
+
+    def test_reaches_targets_just_below_the_bracket_edge(self):
+        # sigma is nearly singular here, so its Cholesky factor keeps fewer digits
+        rho = solve_rho_for_tc(4, 40.7)
+        assert abs(tc_closed_form(equicorrelated_sigma(4, rho)) - 40.7) < 1e-3
+
 
 class TestMiClosedForm:
     def test_block_diagonal_gives_zero(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import multiprocessing
 import os
 import sys
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totalcorr import harness
+from totalcorr import estimators, harness
 from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator
 from totalcorr.errors import ParameterError, TraceParseError, TrainingError
 from totalcorr.estimators import MiEstimatorKind
 from totalcorr.gaussian import equicorrelated_sigma, tc_closed_form
 from totalcorr.harness import (
+    METRICS_HEADER,
     ExperimentConfig,
     MetricsRow,
     TrainingTrace,
@@ -88,6 +90,14 @@ class _InlineExecutor:
         return future
 
 
+def _nwj_nan_loss(scores, ema, value_only=False):
+    """estimators.nwj_bound with its training loss replaced by NaN."""
+    if value_only:
+        return estimators.nwj_bound(scores, ema, value_only=True)
+    value, _, grad, ema = estimators.nwj_bound(scores, ema)
+    return value, math.nan, grad, ema
+
+
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="workers must inherit the patched _run_single",
@@ -137,10 +147,30 @@ class TestConfigValidation:
             dict(estimators=()),
             dict(paths=()),
             dict(seed=-1),
+            dict(estimators=(MiEstimatorKind.NWJ, MiEstimatorKind.MINE, MiEstimatorKind.NWJ)),
+            dict(paths=(PathKind.TREE, PathKind.TREE)),
+            dict(tc_targets=(math.nan,)),
+            dict(tc_targets=(2.0, math.inf)),
+            dict(tc_targets=(1e6,)),
+            dict(lr=math.nan),
+            dict(lr=math.inf),
+            dict(dim=1, tc_targets=(2.0,)),
         ],
     )
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(ParameterError):
+            ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(estimators=(MiEstimatorKind.CLUB, MiEstimatorKind.CLUB)), "estimators lists CLUB"),
+            (dict(paths=(PathKind.LINE, PathKind.TREE, PathKind.LINE)), "paths lists LINE"),
+            (dict(tc_targets=(2.0, 1e6)), "target_tc=1000000.0"),
+        ],
+    )
+    def test_rejection_names_the_value(self, bad, message):
+        with pytest.raises(ParameterError, match=message):
             ExperimentConfig(**bad)
 
 
@@ -276,6 +306,17 @@ class TestRunExperiment:
         assert set(result.traces) == set(sequential.traces) - {dead}
         assert all(trace == sequential.traces[key] for key, trace in result.traces.items())
         assert result.metrics == [r for r in sequential.metrics if (r.estimator, r.path) != dead]
+
+    @fork_only
+    def test_worker_training_error_reads_as_in_sequential_run(self, monkeypatch):
+        monkeypatch.setitem(estimators.LOWER_BOUNDS, MiEstimatorKind.NWJ, _nwj_nan_loss)
+        cfg = tiny_config(estimators=(MiEstimatorKind.NWJ, MiEstimatorKind.MINE))
+        sequential = run_experiment(cfg)
+        parallel = run_experiment(cfg, jobs=2)
+        message = "non-finite loss [estimator=NWJ, term=0, step=1]"
+        expected = {(MiEstimatorKind.NWJ, p): message for p in PathKind}
+        assert sequential.failures == parallel.failures == expected
+        assert set(parallel.traces) == {(MiEstimatorKind.MINE, p) for p in PathKind}
 
     @pytest.mark.parametrize("jobs", [0, -5])
     def test_jobs_below_one_rejected(self, jobs):
@@ -478,6 +519,9 @@ class TestMetricsPersistence:
         path = tmp_path / "metrics.csv"
         persist_metrics(self.rows(), path)
         assert load_metrics(path) == self.rows()
+
+    def test_row_fields_are_the_columns(self):
+        assert [f.name for f in dataclasses.fields(MetricsRow)] == METRICS_HEADER.split(",")
 
     def test_schema_header(self, tmp_path):
         path = tmp_path / "metrics.csv"
