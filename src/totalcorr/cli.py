@@ -79,7 +79,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    fields = {}
+    fields, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -90,6 +90,10 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
         key = key.strip().lower()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            message = f"{key!r} is already set on line {set_on[key]}"
+            raise ConfigError(f"{path}: line {lineno}: {message}")
+        set_on[key] = lineno
         try:
             fields[key] = _coerce(_FIELD_TYPES[key], value.strip())
         except ValueError as exc:
@@ -140,34 +144,21 @@ def _cmd_report(args) -> int:
 
 # ------------------------------------------------------------------- selftest
 
-def _selftest_checks(quick: bool):
-    return [
-        (
-            "decomposition-identity",
-            lambda: diagnostics.check_decomposition_identity(20 if quick else 100),
-        ),
-        ("target-calibration", diagnostics.check_target_calibration),
-        (
-            "mc-oracle-convergence",
-            lambda: diagnostics.check_mc_oracle(
-                num_samples=20_000 if quick else 100_000, seeds=5 if quick else 20
-            ),
-        ),
-        (
-            "gradient-integrity",
-            lambda: diagnostics.check_gradient_integrity(points=2 if quick else 10),
-        ),
-        (
-            "infonce-cap",
-            lambda: diagnostics.check_infonce_cap(50 if quick else 200),
-        ),
-    ]
+# (name, check, its arguments under --quick); without --quick each check
+# runs at the sizes its defaults give
+_SELFTEST_CHECKS = (
+    ("decomposition-identity", diagnostics.check_decomposition_identity, {"trials": 20}),
+    ("target-calibration", diagnostics.check_target_calibration, {}),
+    ("mc-oracle-convergence", diagnostics.check_mc_oracle, {"num_samples": 20_000, "seeds": 5}),
+    ("gradient-integrity", diagnostics.check_gradient_integrity, {"points": 2}),
+    ("infonce-cap", diagnostics.check_infonce_cap, {"trials": 50}),
+)
 
 
 def _cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks(args.quick):
-        ok, detail = check()
+    for name, check, quick_args in _SELFTEST_CHECKS:
+        ok, detail = check(**quick_args) if args.quick else check()
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += not ok
     return EXIT_OK if failures == 0 else EXIT_PARTIAL

@@ -150,37 +150,31 @@ def make_tc_estimator(
     return est
 
 
-def _check_batch(est: TcEstimator, batch: np.ndarray) -> np.ndarray:
+def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.ndarray]:
+    """(sum, per-term values) of ``term_fn(term estimator, u, v)`` on each
+    term's columns of the batch; a TrainingError is tagged with its term.
+
+    The callers pass ``train_step`` or ``evaluate`` as this module binds it
+    at call time, so rebinding either name (as a tracer does) sees every call.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != est.width:
-        raise ParameterError(
-            f"batch must be (N, {est.width}), got {batch.shape}"
-        )
-    return batch
-
-
-def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Train every term once on the batch; returns (sum, per-term values)."""
-    batch = _check_batch(est, batch)
+        raise ParameterError(f"batch must be (N, {est.width}), got {batch.shape}")
     values = np.empty(est.n_terms)
     for k, term_est in enumerate(est.terms):
-        u = batch[:, est.left_cols[k]]
-        v = batch[:, est.right_cols[k]]
         try:
-            values[k] = train_step(term_est, u, v)
+            values[k] = term_fn(term_est, batch[:, est.left_cols[k]], batch[:, est.right_cols[k]])
         except TrainingError as exc:
             exc.term = k
             raise
     return float(np.sum(values)), values
 
 
+def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:
+    """Train every term once on the batch; returns (sum, per-term values)."""
+    return _each_term(est, batch, train_step)
+
+
 def tc_evaluate(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Per-term bound values on a batch without updating any parameters."""
-    batch = _check_batch(est, batch)
-    values = np.array(
-        [
-            evaluate(term_est, batch[:, est.left_cols[k]], batch[:, est.right_cols[k]])
-            for k, term_est in enumerate(est.terms)
-        ]
-    )
-    return float(np.sum(values)), values
+    return _each_term(est, batch, evaluate)

@@ -250,10 +250,21 @@ def _club_nll(head: CondGaussianHead, cache: CondGaussianCache) -> float:
     return -float(np.mean(logpdf))
 
 
-def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
-    """Current bound value on a batch, without any parameter update."""
+def _term_batch(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """u and v as float64 pair batches of the estimator's widths (u_dim, v_dim)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    _check_pair_batch(u, v)
+    if u.shape[1] != est.u_dim or v.shape[1] != est.v_dim:
+        raise ParameterError(
+            f"expected widths ({est.u_dim}, {est.v_dim}), got ({u.shape[1]}, {v.shape[1]})"
+        )
+    return u, v
+
+
+def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
+    """Current bound value on a batch, without any parameter update."""
+    u, v = _term_batch(est, u, v)
     if est.kind is MiEstimatorKind.CLUB:
         return club_bound(est.head, u, v, value_only=True)
     scores, _ = pair_scores(est.critic, u, v)
@@ -267,14 +278,7 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     objective); CLUB descends the conditional NLL while the returned value is
     the upper bound itself.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    _check_pair_batch(u, v)
-    if u.shape[1] != est.u_dim or v.shape[1] != est.v_dim:
-        raise ParameterError(
-            f"expected widths ({est.u_dim}, {est.v_dim}), "
-            f"got ({u.shape[1]}, {v.shape[1]})"
-        )
+    u, v = _term_batch(est, u, v)
     step = est.adam.step_count + 1
     if est.kind is MiEstimatorKind.CLUB:
         value, loss = club_bound(est.head, u, v)

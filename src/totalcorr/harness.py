@@ -100,8 +100,10 @@ class ExperimentConfig:
         object.__setattr__(self, "tc_targets", tuple(float(t) for t in self.tc_targets))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "paths", tuple(self.paths))
-        if self.dim < 1:
-            raise ParameterError(f"dim must be positive, got {self.dim}")
+        if self.dim < 2:
+            raise ParameterError(
+                f"dim must be at least 2, got {self.dim}: a single variable has no MI terms"
+            )
         if not self.tc_targets:
             raise ParameterError("tc_targets must be non-empty")
         for target in self.tc_targets:  # each target must be reachable at this dim
@@ -123,10 +125,15 @@ class ExperimentConfig:
             )
         if self.eval_batches < 2:
             raise ParameterError("eval_batches must be at least 2")
-        for name, kinds in (("estimators", self.estimators), ("paths", self.paths)):
+        for name, kinds, kind_type in (
+            ("estimators", self.estimators, MiEstimatorKind),
+            ("paths", self.paths, PathKind),
+        ):
             if not kinds:
                 raise ParameterError(f"{name} must be non-empty")
             for i, kind in enumerate(kinds):
+                if not isinstance(kind, kind_type):
+                    raise ParameterError(f"{name} item {kind!r} is not a {kind_type.__name__}")
                 if kind in kinds[:i]:
                     raise ParameterError(f"{name} lists {kind.value} more than once")
         if self.seed < 0:
@@ -149,6 +156,8 @@ class TrainingTrace:
             raise ParameterError("trace columns must have equal length")
         if self.terms.ndim != 2 or self.terms.shape[0] != n:
             raise ParameterError("terms must be (n_steps, n_terms)")
+        if n and not self.n_terms:  # persist_trace writes one row per (step, term)
+            raise ParameterError("a trace with steps must have at least one term")
         if n and not np.array_equal(self.steps, np.arange(1, n + 1)):
             raise ParameterError("steps must be contiguous from 1")
 
@@ -243,30 +252,21 @@ def _run_single(
     config: ExperimentConfig, est_kind: MiEstimatorKind, path_kind: PathKind
 ) -> tuple[TrainingTrace, list[MetricsRow]]:
     plan = build_plan(config.dim, path_kind)
-    tc_est = make_tc_estimator(
-        plan, est_kind, seed=_stream(config, est_kind, path_kind, 0),
-        hidden=config.hidden, lr=config.lr,
-    )
     data_rng = np.random.default_rng(_stream(config, est_kind, path_kind, 1))
     total_steps = len(config.tc_targets) * config.steps_per_target
-    target_col = np.empty(total_steps)
     raw = np.empty(total_steps)
     terms = np.empty((total_steps, len(plan.terms)))
     metrics: list[MetricsRow] = []
-    step = 0
     for seg, target in enumerate(config.tc_targets):
         rho = solve_rho_for_tc(config.dim, target)
         model = equicorrelated_sigma(config.dim, rho)
-        if config.fresh_networks_per_target and seg > 0:
-            tc_est = make_tc_estimator(
-                plan, est_kind, seed=_stream(config, est_kind, path_kind, 0, seg),
-                hidden=config.hidden, lr=config.lr,
-            )
-        for _ in range(config.steps_per_target):
+        if seg == 0 or config.fresh_networks_per_target:
+            # segment 0's networks draw from (..., 0), a later segment's from (..., 0, seg)
+            init = _stream(config, est_kind, path_kind, 0, *([seg] if seg else []))
+            tc_est = make_tc_estimator(plan, est_kind, init, hidden=config.hidden, lr=config.lr)
+        for step in range(seg * config.steps_per_target, (seg + 1) * config.steps_per_target):
             batch = sample(model, config.batch_size, data_rng)
             raw[step], terms[step] = tc_train_step(tc_est, batch)
-            target_col[step] = target
-            step += 1
         eval_rng = np.random.default_rng(_stream(config, est_kind, path_kind, 2, seg))
         bias, variance, mse = evaluate_metrics(
             tc_est, model, config.eval_batches, eval_rng, config.batch_size
@@ -285,7 +285,7 @@ def _run_single(
         )
     trace = TrainingTrace(
         steps=np.arange(1, total_steps + 1),
-        target=target_col,
+        target=np.repeat(config.tc_targets, config.steps_per_target),
         raw=raw,
         smoothed=smooth(raw, config.smoothing_bandwidth),
         terms=terms,
@@ -293,18 +293,15 @@ def _run_single(
     return trace, metrics
 
 
-def _outcome(run):
-    """(trace, metrics) of one run, or its failure message."""
+def _outcome(run, *args):
+    """``(run(*args), None)``, or ``(None, message)`` where it raised: the
+    text of a TrainingError, the traceback of any other exception (a pool
+    worker's death included). A KeyboardInterrupt is not caught."""
     try:
-        return run(), None
+        return run(*args), None
     except TrainingError as exc:
         return None, str(exc)
-
-
-def _worker_outcome(future):
-    try:
-        return _outcome(future.result)
-    except Exception as exc:  # the worker died or hit a non-training error
+    except Exception as exc:
         return None, "".join(traceback.format_exception(exc)).rstrip()
 
 
@@ -318,22 +315,22 @@ def _pool_outcomes(config: ExperimentConfig, combos: list, jobs: int) -> list:
     """
     with ProcessPoolExecutor(max_workers=min(jobs, len(combos))) as pool:
         futures = [pool.submit(_run_single, config, e, p) for e, p in combos]
-        outcomes = [_worker_outcome(f) for f in futures]
+        outcomes = [_outcome(f.result) for f in futures]
     for i, future in enumerate(futures):
         if isinstance(future.exception(), BrokenProcessPool):
             with ProcessPoolExecutor(max_workers=1) as pool:
-                outcomes[i] = _worker_outcome(pool.submit(_run_single, config, *combos[i]))
+                outcomes[i] = _outcome(pool.submit(_run_single, config, *combos[i]).result)
     return outcomes
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run every (estimator, path) combination of the config.
 
-    A training failure aborts only its own run and is recorded in
-    ``failures``. With jobs > 1 the combinations run in separate processes,
-    and any exception of a worker, its death included, is recorded the same
-    way (see :func:`_pool_outcomes`); results are identical to a sequential
-    run because every run owns dedicated RNG streams.
+    An exception aborts only its own run and is recorded in ``failures`` (see
+    :func:`_outcome`). With jobs > 1 the combinations run in separate
+    processes, and a worker's death is recorded the same way (see
+    :func:`_pool_outcomes`); results are identical to a sequential run
+    because every run owns dedicated RNG streams.
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be at least 1, got {jobs}")
@@ -341,7 +338,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     if jobs > 1:
         outcomes = _pool_outcomes(config, combos, jobs)
     else:
-        outcomes = [_outcome(lambda: _run_single(config, e, p)) for e, p in combos]
+        outcomes = [_outcome(_run_single, config, e, p) for e, p in combos]
     result = RunResult(traces={}, metrics=[])
     for combo, (done, error) in zip(combos, outcomes):
         if error is not None:
@@ -379,27 +376,26 @@ def load_trace(path: str | Path) -> TrainingTrace:
             smoothed=np.empty(0),
             terms=np.empty((0, 0)),
         )
-    n_terms = int(rows["term_index"].max()) + 1
-    if n_terms < 1:
-        raise TraceParseError(path, 2, f"expected term_index 0, got {rows['term_index'][0]}")
+    n_terms = max(int(rows["term_index"].max()) + 1, 1)
     if rows.size % n_terms:
         raise TraceParseError(path, rows.size + 1, "row count is not a multiple of term count")
     block = rows.reshape(-1, n_terms)
-    # every row must carry its term index and repeat its step's first row
-    bad_index = block["term_index"] != np.arange(n_terms)
-    bad_step = np.zeros(block.shape, dtype=bool)
-    for name in ("global_step", "target_tc", "raw_estimate", "smoothed_estimate"):
-        bad_step |= block[name] != block[name][:, :1]
-    bad = np.flatnonzero(bad_index | bad_step)
-    if bad.size:
-        i, k = divmod(int(bad[0]), n_terms)
-        line_number = 2 + int(bad[0])
-        if bad_index[i, k]:
-            raise TraceParseError(
-                path, line_number, f"expected term_index {k}, got {block['term_index'][i, k]}"
-            )
-        raise TraceParseError(path, line_number, "step columns differ within one global step")
     first = block[:, 0]
+    # each column as persist_trace writes it: term k of step i is in row
+    # i * n_terms + k and repeats the step columns of the step's first row
+    expected = {
+        "global_step": np.arange(1, len(block) + 1)[:, None],
+        "target_tc": first["target_tc"][:, None],
+        "raw_estimate": first["raw_estimate"][:, None],
+        "smoothed_estimate": first["smoothed_estimate"][:, None],
+        "term_index": np.arange(n_terms),
+    }
+    bad = np.stack([block[name] != column for name, column in expected.items()], axis=-1)
+    if bad.any():
+        row, c = divmod(int(np.argmax(bad)), len(expected))
+        name, column = list(expected.items())[c]
+        want = np.broadcast_to(column, block.shape).flat[row]
+        raise TraceParseError(path, row + 2, f"expected {name} {want}, got {rows[name][row]}")
     return TrainingTrace(
         steps=first["global_step"].copy(),
         target=first["target_tc"].copy(),
@@ -439,7 +435,8 @@ def _write_csv(path: str | Path, header: str, lines: list[str]) -> None:
 
 
 def _read_csv(path: Path, columns: tuple) -> np.ndarray:
-    """The data rows of a CSV file as one structured array, header checked.
+    """The data rows of a CSV file as one structured array, header checked
+    and every float finite (data row i is line i + 2).
 
     numpy parses the columns. Where it rejects the file (a bad header or byte,
     a wrong field count, a bad value, or a spelling that only the column's
@@ -450,16 +447,29 @@ def _read_csv(path: Path, columns: tuple) -> np.ndarray:
     header = ",".join(name for name, _, _ in columns)
     row = np.dtype([(name, dtype) for name, dtype, _ in columns])
     converters = {i: parse for i, (_, dtype, parse) in enumerate(columns) if dtype is object}
+    rows = None
     with open(path, encoding="ascii") as f:
         try:
             if f.readline().rstrip("\r\n") == header:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    return np.loadtxt(
+                    rows = np.loadtxt(
                         f, dtype=row, delimiter=",", comments=None, ndmin=1, converters=converters
                     )
         except ValueError:  # UnicodeDecodeError included
             pass
+    if rows is None:
+        rows = _parse_lines(path, columns, header, row)
+    floats = [name for name, dtype, _ in columns if dtype is np.float64]
+    bad = np.stack([~np.isfinite(rows[name]) for name in floats], axis=-1)
+    if bad.any():
+        i, c = divmod(int(np.argmax(bad)), len(floats))
+        raise TraceParseError(path, i + 2, f"{floats[c]} is not finite: {rows[floats[c]][i]}")
+    return rows
+
+
+def _parse_lines(path: Path, columns: tuple, header: str, row: np.dtype) -> np.ndarray:
+    """The rows as the columns' parse functions read them, or the first bad line."""
     data = path.read_bytes()
     # a non-ASCII byte decodes to a character no header contains
     lines = data.decode("ascii", "surrogateescape").splitlines()

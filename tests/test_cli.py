@@ -159,10 +159,29 @@ class TestRunCommand:
         ],
     )
     def test_unrunnable_config_exits_1_before_out(self, smoke_config, tmp_path, capsys, line, message):
-        smoke_config.write_text(SMOKE_CONFIG + line + "\n")
+        # the line replaces the smoke config's own line for its key (tc_targets)
+        key = line.partition(" =")[0]
+        kept = [row for row in SMOKE_CONFIG.splitlines() if not row.startswith(f"{key} =")]
+        smoke_config.write_text("\n".join([*kept, line]) + "\n")
         code = main(["run", "--config", str(smoke_config), "--out", str(tmp_path / "o")])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_key_exits_1_naming_both_lines(self, smoke_config, tmp_path, capsys):
+        smoke_config.write_text(SMOKE_CONFIG + "seed = 4\n")
+        code = main(["run", "--config", str(smoke_config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "line 8: 'seed' is already set on line 7" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_single_variable_at_target_zero_exits_1_before_out(self, tmp_path, capsys):
+        # such a run has no MI terms, so its trace files would hold no rows
+        config = tmp_path / "config.txt"
+        config.write_text("dim = 1\ntc_targets = 0\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "single variable" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_out_under_a_file_exits_1_with_one_error_line(self, smoke_config, tmp_path, capsys):
@@ -238,6 +257,26 @@ class TestPlotCommand:
         code = main(["plot", str(bad), "--out", str(tmp_path / "o.svg")])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3,2.0,0.5,0.5,0,0.5", "line 3: expected global_step 2, got 3"),
+            ("2,2.0,inf,0.5,0,0.5", "line 3: raw_estimate is not finite: inf"),
+            ("2,2.0,nan,0.5,0,0.5", "line 3: raw_estimate is not finite: nan"),
+        ],
+    )
+    def test_bad_trace_exits_1_with_one_error_line(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "global_step,target_tc,raw_estimate,smoothed_estimate,term_index,term_estimate\n"
+            f"1,2.0,0.5,0.5,0,0.5\n{row}\n"
+        )
+        code = main(["plot", str(bad), "--out", str(tmp_path / "o.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "o.svg").exists()
 
     def test_out_in_missing_directory_exits_1_with_one_error_line(self, tmp_path, capsys):
         trace = tmp_path / "empty.csv"

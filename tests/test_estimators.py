@@ -354,6 +354,15 @@ class TestTrainStep:
         with pytest.raises(ParameterError):
             train_step(est, np.zeros((8, 1)), np.zeros((8, 1)))
 
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    def test_evaluate_rejects_a_split_as_train_step_does(self, kind):
+        # widths (2, 2) total 4 as (1, 3) does, which a critic alone would accept
+        est = create_term_estimator(kind, 1, 3, np.random.default_rng(0))
+        u, v = np.zeros((8, 2)), np.zeros((8, 2))
+        for step in (evaluate, train_step):
+            with pytest.raises(ParameterError, match=r"expected widths \(1, 3\), got \(2, 2\)"):
+                step(est, u, v)
+
     def test_non_finite_loss_names_kind_and_step(self):
         est = create_term_estimator(MiEstimatorKind.NWJ, 1, 1, np.random.default_rng(1))
         est.critic.b2[...] = 1e6  # e^(score-1) overflows to inf

@@ -155,6 +155,7 @@ class TestConfigValidation:
             dict(lr=math.nan),
             dict(lr=math.inf),
             dict(dim=1, tc_targets=(2.0,)),
+            dict(dim=1, tc_targets=(0.0,)),
         ],
     )
     def test_rejects_invalid_fields(self, bad):
@@ -167,6 +168,9 @@ class TestConfigValidation:
             (dict(estimators=(MiEstimatorKind.CLUB, MiEstimatorKind.CLUB)), "estimators lists CLUB"),
             (dict(paths=(PathKind.LINE, PathKind.TREE, PathKind.LINE)), "paths lists LINE"),
             (dict(tc_targets=(2.0, 1e6)), "target_tc=1000000.0"),
+            (dict(estimators=("MINE",)), "estimators item 'MINE' is not a MiEstimatorKind"),
+            (dict(paths=(PathKind.LINE, "TREE")), "paths item 'TREE' is not a PathKind"),
+            (dict(dim=1, tc_targets=(0.0,)), "single variable"),
         ],
     )
     def test_rejection_names_the_value(self, bad, message):
@@ -283,6 +287,18 @@ class TestRunExperiment:
         assert "RuntimeError: injected failure" in result.failures[failed]
         assert len(result.traces) == 3
         assert all(trace == sequential.traces[key] for key, trace in result.traces.items())
+        assert result.metrics == [r for r in sequential.metrics if (r.estimator, r.path) != failed]
+
+    def test_sequential_exception_keeps_other_runs(self, monkeypatch, tmp_path):
+        cfg = tiny_config(estimators=(MiEstimatorKind.NWJ, MiEstimatorKind.CLUB))
+        sequential = run_experiment(cfg)
+        monkeypatch.setattr(harness, "_run_single", _run_single_faulty)
+        monkeypatch.setattr(sys.modules[__name__], "_marker", str(tmp_path / "done"))
+        result = run_experiment(cfg)
+        failed = (MiEstimatorKind.NWJ, PathKind.LINE)
+        assert list(result.failures) == [failed]
+        assert result.failures[failed].endswith("RuntimeError: injected failure")
+        assert result.traces == {k: t for k, t in sequential.traces.items() if k != failed}
         assert result.metrics == [r for r in sequential.metrics if (r.estimator, r.path) != failed]
 
     @fork_only
@@ -453,11 +469,17 @@ class TestTracePersistence:
             (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "2,2.0,0.5,0.5,0,0.25"],
              4, "row count is not a multiple of term count"),
             (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "2,2.0,0.5,0.5,0,0.25",
-              "3,2.0,0.5,0.5,1,0.25"], 5, "step columns differ"),
+              "3,2.0,0.5,0.5,1,0.25"], 5, "expected global_step 2, got 3"),
             (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.2\xe9"], 3, "non-ASCII byte 0xe9"),
             # past the first read of the file, so numpy's parser meets the byte
             ([f"{i},2.0,0.5,0.5,0,0.25" for i in range(1, 2000)] + ["2000,2.0,0.5,0.\xe9,0,0.25"],
              2001, "non-ASCII byte 0xe9"),
+            (["1,2.0,0.5,0.5,0,0.5", "3,2.0,0.5,0.5,0,0.5"], 3, "expected global_step 2, got 3"),
+            (["1,2.0,0.5,0.5,0,0.5", "2,2.0,inf,0.5,0,0.5"], 3, "raw_estimate is not finite: inf"),
+            (["1,2.0,nan,0.5,0,0.5", "1,2.0,nan,0.5,1,0.5"], 2, "raw_estimate is not finite: nan"),
+            (["1,2.0,0.5,0.5,0,0.5", "1,2.0,0.5,0.5,1,-inf"], 3, "term_estimate is not finite"),
+            # a spelling only float() reads sends the file through the line parser
+            (["1,2.0,0.5,0.5,0,0.5", "2,2.0,0.5,1_0,0,inf"], 3, "term_estimate is not finite"),
         ],
     )
     def test_malformed_rows_name_their_line(self, tmp_path, rows, line, message):
@@ -465,6 +487,13 @@ class TestTracePersistence:
         path.write_bytes(("\n".join([harness.TRACE_HEADER, *rows]) + "\n").encode("latin-1"))
         with pytest.raises(TraceParseError, match=f"line {line}.*{message}"):
             load_trace(path)
+
+    def test_steps_without_terms_rejected(self):
+        raw = np.array([0.5, 0.25])
+        with pytest.raises(ParameterError, match="at least one term"):
+            TrainingTrace(
+                steps=np.arange(1, 3), target=raw, raw=raw, smoothed=raw, terms=np.empty((2, 0))
+            )
 
     @pytest.mark.parametrize(
         "row",
@@ -565,6 +594,12 @@ class TestMetricsPersistence:
             "NWJ,TREE,2,0,0,0,9223372036854775808,0\n"
         )
         with pytest.raises(TraceParseError, match="line 3: .* does not fit in int64"):
+            load_metrics(path)
+
+    def test_non_finite_bias_names_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(METRICS_HEADER + "\nMINE,TREE,2,0,0,0,4,0\nNWJ,TREE,2,nan,0,0,4,0\n")
+        with pytest.raises(TraceParseError, match="line 3: bias is not finite: nan"):
             load_metrics(path)
 
     def test_non_ascii_byte_names_line(self, tmp_path):
