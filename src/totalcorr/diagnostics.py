@@ -111,7 +111,6 @@ class GradientReport:
     worst_raw: float
     kink_coords: list[str]
     zero_verified: int
-    checked: int
 
 
 def fd_report(probe: LossProbe, h: float = 1e-5) -> GradientReport:
@@ -122,7 +121,6 @@ def fd_report(probe: LossProbe, h: float = 1e-5) -> GradientReport:
     worst_checked = 0.0
     worst_raw = 0.0
     zero_verified = 0
-    checked = 0
     kinks: list[str] = []
     for k in range(theta.size):
         orig = theta[k]
@@ -142,9 +140,8 @@ def fd_report(probe: LossProbe, h: float = 1e-5) -> GradientReport:
         if abs(ad) <= noise and abs(fd) <= noise:
             zero_verified += 1
         else:
-            checked += 1
             worst_checked = max(worst_checked, err)
-    return GradientReport(worst_checked, worst_raw, kinks, zero_verified, checked)
+    return GradientReport(worst_checked, worst_raw, kinks, zero_verified)
 
 
 # ------------------------------------------------------------ identity checks

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -126,15 +127,10 @@ def pair_scores(critic: Mlp, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, 
     return out.reshape(n, n), cache
 
 
-_offdiag_masks: dict[int, np.ndarray] = {}
-
-
+@cache
 def _offdiag(n: int) -> np.ndarray:
-    mask = _offdiag_masks.get(n)
-    if mask is None:
-        mask = ~np.eye(n, dtype=bool)
-        mask.setflags(write=False)
-        _offdiag_masks[n] = mask
+    mask = ~np.eye(n, dtype=bool)
+    mask.setflags(write=False)  # one mask per n, shared by every caller
     return mask
 
 
@@ -151,7 +147,8 @@ def mine_bound(
 
     The loss is the bias-corrected objective of :func:`_mine_surrogate`, taken
     at the moving average of mean_offdiag(e^scores) after this batch's update
-    (decay 0.99); its gradient treats the moving average as a constant.
+    (decay 0.99); its gradient treats the moving average as a constant. A
+    moving average below MINE_EMA_FLOOR or infinite raises TrainingError.
     """
     vals = scores[_offdiag(scores.shape[0])]
     shift = np.max(vals)
@@ -164,6 +161,8 @@ def mine_bound(
     except OverflowError:
         batch_mean = math.inf
     ema = MINE_EMA_DECAY * ema + (1.0 - MINE_EMA_DECAY) * batch_mean
+    if ema < MINE_EMA_FLOOR or math.isinf(ema):
+        raise TrainingError(f"MINE moving average underflowed or overflowed: {ema!r}")
     loss, grad = _mine_surrogate(scores, ema)
     return value, loss, grad, ema
 
@@ -280,24 +279,18 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     """
     u, v = _term_batch(est, u, v)
     step = est.adam.step_count + 1
-    if est.kind is MiEstimatorKind.CLUB:
-        value, loss = club_bound(est.head, u, v)
-    else:
-        scores, cache = pair_scores(est.critic, u, v)
-        value, loss, grad_scores, ema = LOWER_BOUNDS[est.kind](scores, est.ema_denominator)
-        if ema < MINE_EMA_FLOOR or math.isinf(ema):
-            raise TrainingError(
-                f"MINE moving average underflowed or overflowed: {ema!r}",
-                kind=est.kind.value,
-                step=step,
-            )
-        est.ema_denominator = ema
-        est.critic.backward(cache, grad_scores.reshape(-1, 1))
-    if not math.isfinite(loss):
-        raise TrainingError("non-finite loss", kind=est.kind.value, step=step)
     try:
+        if est.kind is MiEstimatorKind.CLUB:
+            value, loss = club_bound(est.head, u, v)
+        else:
+            scores, cache = pair_scores(est.critic, u, v)
+            value, loss, grad_scores, ema = LOWER_BOUNDS[est.kind](scores, est.ema_denominator)
+            est.ema_denominator = ema
+            est.critic.backward(cache, grad_scores.reshape(-1, 1))
+        if not math.isfinite(loss):
+            raise TrainingError("non-finite loss")
         adam_step(est.theta, est.grad, est.adam)
     except TrainingError as exc:
-        exc.kind = est.kind.value
+        exc.kind, exc.step = est.kind.value, step
         raise
     return value

@@ -224,8 +224,7 @@ def mc_tc_oracle(
         raise ParameterError(f"num_samples must be >= 1, got {num_samples}")
     x = sample(model, num_samples, rng)
     y = np.linalg.solve(model.chol, x.T)
-    half_logdet = float(np.sum(np.log(np.diag(model.chol))))
-    log_ratio = 0.5 * np.sum(x * x, axis=1) - 0.5 * np.sum(y * y, axis=0) - half_logdet
+    log_ratio = 0.5 * np.sum(x * x, axis=1) - 0.5 * np.sum(y * y, axis=0) + tc_closed_form(model)
     estimate = float(np.mean(log_ratio))
     if num_samples == 1:
         return estimate, float("inf")

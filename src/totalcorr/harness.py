@@ -378,7 +378,7 @@ def load_trace(path: str | Path) -> TrainingTrace:
         )
     n_terms = max(int(rows["term_index"].max()) + 1, 1)
     if rows.size % n_terms:
-        raise TraceParseError(path, rows.size + 1, "row count is not a multiple of term count")
+        raise _row_error(path, rows.size - 1, "row count is not a multiple of term count")
     block = rows.reshape(-1, n_terms)
     first = block[:, 0]
     # each column as persist_trace writes it: term k of step i is in row
@@ -395,7 +395,7 @@ def load_trace(path: str | Path) -> TrainingTrace:
         row, c = divmod(int(np.argmax(bad)), len(expected))
         name, column = list(expected.items())[c]
         want = np.broadcast_to(column, block.shape).flat[row]
-        raise TraceParseError(path, row + 2, f"expected {name} {want}, got {rows[name][row]}")
+        raise _row_error(path, row, f"expected {name} {want}, got {rows[name][row]}")
     return TrainingTrace(
         steps=first["global_step"].copy(),
         target=first["target_tc"].copy(),
@@ -436,7 +436,7 @@ def _write_csv(path: str | Path, header: str, lines: list[str]) -> None:
 
 def _read_csv(path: Path, columns: tuple) -> np.ndarray:
     """The data rows of a CSV file as one structured array, header checked
-    and every float finite (data row i is line i + 2).
+    and every float finite. Blank lines are skipped.
 
     numpy parses the columns. Where it rejects the file (a bad header or byte,
     a wrong field count, a bad value, or a spelling that only the column's
@@ -464,8 +464,15 @@ def _read_csv(path: Path, columns: tuple) -> np.ndarray:
     bad = np.stack([~np.isfinite(rows[name]) for name in floats], axis=-1)
     if bad.any():
         i, c = divmod(int(np.argmax(bad)), len(floats))
-        raise TraceParseError(path, i + 2, f"{floats[c]} is not finite: {rows[floats[c]][i]}")
+        raise _row_error(path, i, f"{floats[c]} is not finite: {rows[floats[c]][i]}")
     return rows
+
+
+def _row_error(path: Path, row: int, message: str) -> TraceParseError:
+    """The error for data row ``row`` (from 0), at its line as :func:`_parse_lines`
+    counts them: blank lines, which both parse paths skip, count too."""
+    lines = path.read_bytes().decode("ascii", "surrogateescape").splitlines()
+    return TraceParseError(path, [n for n, x in enumerate(lines[1:], start=2) if x][row], message)
 
 
 def _parse_lines(path: Path, columns: tuple, header: str, row: np.dtype) -> np.ndarray:

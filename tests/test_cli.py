@@ -278,6 +278,19 @@ class TestPlotCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o.svg").exists()
 
+    def test_value_range_beyond_a_float_exits_1_with_one_error_line(self, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text(
+            "global_step,target_tc,raw_estimate,smoothed_estimate,term_index,term_estimate\n"
+            "1,2.0,1e308,1e308,0,1e308\n2,2.0,-1e308,-1e308,0,-1e308\n"
+        )
+        code = main(["plot", str(wide), "--out", str(tmp_path / "o.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "from -1e+308 to 1e+308 span more than a float holds" in err
+        assert not (tmp_path / "o.svg").exists()
+
     def test_out_in_missing_directory_exits_1_with_one_error_line(self, tmp_path, capsys):
         trace = tmp_path / "empty.csv"
         trace.write_text(

@@ -152,6 +152,24 @@ class TestMineValue:
         with pytest.raises(TrainingError, match="overflow"):
             train_step(est, u, v)
 
+    @pytest.mark.parametrize(
+        "b2, ema, message",
+        [
+            (-900.0, 1e-31, "MINE moving average underflowed or overflowed: 9.9e-32"),
+            # a NaN moving average passes the floor check and ends as a NaN loss
+            (math.nan, 1.0, "non-finite loss"),
+        ],
+    )
+    def test_failed_step_names_estimator_and_step(self, b2, ema, message):
+        est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, np.random.default_rng(0))
+        est.theta[:] = 0.0
+        est.critic.b2[...] = b2
+        est.ema_denominator = ema
+        u = v = np.zeros((4, 1))
+        with pytest.raises(TrainingError) as info:
+            train_step(est, u, v)
+        assert str(info.value) == f"{message} [estimator=MINE, step=1]"
+
     def test_trained_value_on_correlated_gaussian(self):
         # lower bound of MI = 0.830; Adam at lr 1e-4 reaches about 60% of it
         # in 4000 steps (value frozen from a seeded run of this oracle)

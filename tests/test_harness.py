@@ -480,6 +480,12 @@ class TestTracePersistence:
             (["1,2.0,0.5,0.5,0,0.5", "1,2.0,0.5,0.5,1,-inf"], 3, "term_estimate is not finite"),
             # a spelling only float() reads sends the file through the line parser
             (["1,2.0,0.5,0.5,0,0.5", "2,2.0,0.5,1_0,0,inf"], 3, "term_estimate is not finite"),
+            # a blank line, which both parse paths skip, still counts as a line
+            (["1,2.0,0.5,0.5,0,0.5", "", "2,2.0,inf,0.5,0,0.5"], 4, "raw_estimate is not finite"),
+            (["1,2.0,0.5,0.5,0,0.5", "", "3,2.0,0.5,0.5,0,0.5"], 4, "expected global_step 2, got 3"),
+            (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "", "2,2.0,0.5,0.5,0,0.25"],
+             5, "row count is not a multiple of term count"),
+            (["", "1,2.0,0.5,0.5,0,0.5", "2,2.0,0.5,1_0,0,inf"], 4, "term_estimate is not finite"),
         ],
     )
     def test_malformed_rows_name_their_line(self, tmp_path, rows, line, message):
@@ -600,6 +606,12 @@ class TestMetricsPersistence:
         path = tmp_path / "metrics.csv"
         path.write_text(METRICS_HEADER + "\nMINE,TREE,2,0,0,0,4,0\nNWJ,TREE,2,nan,0,0,4,0\n")
         with pytest.raises(TraceParseError, match="line 3: bias is not finite: nan"):
+            load_metrics(path)
+
+    def test_non_finite_bias_after_blank_line_names_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(METRICS_HEADER + "\nMINE,TREE,2,0,0,0,4,0\n\nNWJ,TREE,2,nan,0,0,4,0\n")
+        with pytest.raises(TraceParseError, match="line 4: bias is not finite: nan"):
             load_metrics(path)
 
     def test_non_ascii_byte_names_line(self, tmp_path):

@@ -1,8 +1,15 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from totalcorr.errors import ParameterError
 from totalcorr.harness import TrainingTrace, smooth
 from totalcorr.svgplot import _nice_ticks, _step_points, render_traces
+
+GOLDEN_SVG = Path(__file__).parent / "data" / "golden_plot.svg"
 
 
 def trace_from(raw, targets):
@@ -16,13 +23,35 @@ def trace_from(raw, targets):
     )
 
 
+def golden_traces():
+    """Two fixed traces: one jump in the target, a negative estimate, a
+    shorter second trace and a label with every character SVG escapes."""
+    a_raw = np.array([0.25, 1.125, 1.5, 3.75, 4.5, 3.875])
+    a = TrainingTrace(
+        steps=np.arange(1, 7),
+        target=np.array([2.0, 2.0, 2.0, 4.0, 4.0, 4.0]),
+        raw=a_raw,
+        smoothed=np.array([0.25, 0.6875, 1.3125, 2.625, 4.125, 4.1875]),
+        terms=a_raw[:, None].copy(),
+    )
+    b_raw = np.array([-0.5, 0.75, 1.0 / 3.0, 2.0])
+    b = TrainingTrace(
+        steps=np.arange(1, 5),
+        target=np.full(4, 2.0),
+        raw=b_raw,
+        smoothed=np.array([-0.5, 0.125, 0.5416666666666666, 1.1666666666666667]),
+        terms=b_raw[:, None].copy(),
+    )
+    return [("MINE/TREE", a), ('a & <b> "c"', b)]
+
+
 class TestStepPoints:
     def test_constant_target_is_a_straight_segment(self):
-        pts = _step_points(np.array([1, 2, 3]), np.array([2.0, 2.0, 2.0]))
+        pts = list(zip(*_step_points(np.array([1, 2, 3]), np.array([2.0, 2.0, 2.0]))))
         assert pts == [(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)]
 
     def test_jump_inserts_vertical_transition(self):
-        pts = _step_points(np.array([1, 2, 3, 4]), np.array([2.0, 2.0, 4.0, 4.0]))
+        pts = list(zip(*_step_points(np.array([1, 2, 3, 4]), np.array([2.0, 2.0, 4.0, 4.0]))))
         assert (3.0, 2.0) in pts and (3.0, 4.0) in pts
         assert pts.index((3.0, 2.0)) + 1 == pts.index((3.0, 4.0))
 
@@ -71,3 +100,23 @@ class TestRenderTraces:
     def test_deterministic_output(self):
         trace = trace_from(np.sin(np.arange(50) / 3.0), np.full(50, 1.5))
         assert render_traces([("t", trace)]) == render_traces([("t", trace)])
+
+    def test_golden_bytes(self):
+        # the figure bytes are pinned; rewrite the file only when they change on purpose
+        assert render_traces(golden_traces()).encode("utf-8") == GOLDEN_SVG.read_bytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("column", ["raw", "smoothed", "target"])
+    def test_non_finite_value_rejected_naming_label(self, bad, column):
+        trace = trace_from([0.1, 0.4, 0.8], [2.0, 2.0, 2.0])
+        getattr(trace, column)[1] = bad
+        with pytest.raises(ParameterError, match=f"trace 'odd one': {column} holds a non-finite"):
+            render_traces([("ok", trace_from([0.5, 0.5], [1.0, 1.0])), ("odd one", trace)])
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 0.0)])
+    def test_range_wider_than_a_float_rejected(self, lo, hi, recwarn):
+        # the second range is finite, but its 5% padding is not
+        trace = trace_from([lo, hi], [0.0, 0.0])
+        with pytest.raises(ParameterError, match=re.escape(f"from {lo!r} to {hi!r} span more")):
+            render_traces([("wide", trace)])
+        assert not recwarn.list
