@@ -22,7 +22,7 @@ from .estimators import (
     train_step,
 )
 from .gaussian import GaussianModel, IndexSet, mi_closed_form
-from .nn import DEFAULT_HIDDEN
+from .nn import DEFAULT_HIDDEN, DEFAULT_LR
 
 
 class PathKind(Enum):
@@ -118,7 +118,7 @@ def make_tc_estimator(
     seed: int | np.random.SeedSequence,
     dims: list[int] | None = None,
     hidden: int = DEFAULT_HIDDEN,
-    lr: float = 1e-4,
+    lr: float = DEFAULT_LR,
 ) -> TcEstimator:
     """One independent estimator per MI term, initialized from ``seed``.
 

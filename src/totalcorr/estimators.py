@@ -22,6 +22,7 @@ from .nn import (
     CondGaussianCache,
     CondGaussianHead,
     DEFAULT_HIDDEN,
+    DEFAULT_LR,
     Mlp,
     MlpCache,
     adam_step,
@@ -75,7 +76,7 @@ def create_term_estimator(
     v_dim: int,
     rng: np.random.Generator,
     hidden: int = DEFAULT_HIDDEN,
-    lr: float = 1e-4,
+    lr: float = DEFAULT_LR,
 ) -> MiTermEstimator:
     if min(u_dim, v_dim) < 1:
         raise ParameterError("u_dim and v_dim must be positive")

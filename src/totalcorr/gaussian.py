@@ -18,8 +18,6 @@ SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-12
 CHOL_RECONSTRUCTION_TOL = 1e-10
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class IndexSet:

@@ -13,6 +13,7 @@ purpose[, segment])) with purpose 0 = network init, 1 = training data,
 from __future__ import annotations
 
 import math
+import re
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,7 @@ from .decomposition import (
 from .errors import ParameterError, TraceParseError, TrainingError
 from .estimators import MiEstimatorKind
 from .gaussian import GaussianModel, equicorrelated_sigma, sample, solve_rho_for_tc, tc_closed_form
+from .nn import DEFAULT_HIDDEN, DEFAULT_LR
 
 ALL_ESTIMATORS = tuple(MiEstimatorKind)
 ALL_PATHS = tuple(PathKind)
@@ -87,8 +89,8 @@ class ExperimentConfig:
     tc_targets: tuple[float, ...] = (2.0, 4.0, 6.0, 8.0, 10.0)
     steps_per_target: int = 4000
     batch_size: int = 64
-    hidden: int = 20
-    lr: float = 1e-4
+    hidden: int = DEFAULT_HIDDEN
+    lr: float = DEFAULT_LR
     smoothing_bandwidth: int = 200
     eval_batches: int = 100
     estimators: tuple[MiEstimatorKind, ...] = ALL_ESTIMATORS
@@ -468,24 +470,29 @@ def _read_csv(path: Path, columns: tuple) -> np.ndarray:
     return rows
 
 
+def _lines(data: bytes) -> list[str]:
+    """The lines of a file as text mode splits them, at ``\\r\\n``, ``\\r`` or
+    ``\\n``; a non-ASCII byte decodes to a character no header contains."""
+    return re.split(r"\r\n?|\n", data.decode("ascii", "surrogateescape"))
+
+
 def _row_error(path: Path, row: int, message: str) -> TraceParseError:
     """The error for data row ``row`` (from 0), at its line as :func:`_parse_lines`
     counts them: blank lines, which both parse paths skip, count too."""
-    lines = path.read_bytes().decode("ascii", "surrogateescape").splitlines()
+    lines = _lines(path.read_bytes())
     return TraceParseError(path, [n for n, x in enumerate(lines[1:], start=2) if x][row], message)
 
 
 def _parse_lines(path: Path, columns: tuple, header: str, row: np.dtype) -> np.ndarray:
     """The rows as the columns' parse functions read them, or the first bad line."""
     data = path.read_bytes()
-    # a non-ASCII byte decodes to a character no header contains
-    lines = data.decode("ascii", "surrogateescape").splitlines()
-    if not lines or lines[0] != header:
+    lines = _lines(data)
+    if lines[0] != header:
         raise TraceParseError(path, 1, f"expected header {header!r}")
     try:
         data.decode("ascii")
     except UnicodeDecodeError as exc:
-        line_number = data.count(b"\n", 0, exc.start) + 1
+        line_number = len(_lines(data[: exc.start]))
         raise TraceParseError(path, line_number, f"non-ASCII byte {data[exc.start]:#04x}") from None
     parsed = []
     for line_number, line in enumerate(lines[1:], start=2):

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ParameterError, TrainingError
 
 DEFAULT_HIDDEN = 20
+DEFAULT_LR = 1e-4
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -238,6 +240,11 @@ def cond_gaussian_forward(
     return CondGaussianCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v)
 
 
+def logvar_passes(cache: CondGaussianCache) -> np.ndarray:
+    """Where the clamp passes the raw log-variance through, and so its gradient."""
+    return (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
+
+
 def cond_gaussian_logpdf(cache: CondGaussianCache) -> np.ndarray:
     """Row-wise log q(v_i | u_i) from the cache of :func:`cond_gaussian_forward`."""
     resid = cache.v - cache.mu
@@ -259,7 +266,7 @@ def cond_gaussian_logpdf_backward(
     resid = cache.v - cache.mu
     dmu = w * resid * cache.inv_var
     dlogvar = w * (-0.5 + 0.5 * resid * resid * cache.inv_var)
-    dlogvar *= (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
+    dlogvar *= logvar_passes(cache)
     head.mu_net.backward(cache.mu_cache, dmu)
     head.logvar_net.backward(cache.logvar_cache, dlogvar)
 
@@ -296,14 +303,11 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = DEFAULT_LR
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, theta: np.ndarray, lr: float = 1e-4) -> "AdamState":
+    def for_params(cls, theta: np.ndarray, lr: float = DEFAULT_LR) -> "AdamState":
         return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), lr=lr)
 
 
@@ -316,15 +320,15 @@ def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
         raise ParameterError(f"gradient shape {g.shape} does not match parameters {theta.shape}")
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient", step=t)
-    state.m *= state.beta1
-    state.m += g * (1.0 - state.beta1)
-    state.v *= state.beta2
+    state.m *= ADAM_BETA1
+    state.m += g * (1.0 - ADAM_BETA1)
+    state.v *= ADAM_BETA2
     a = g * g
-    a *= 1.0 - state.beta2
+    a *= 1.0 - ADAM_BETA2
     state.v += a
-    np.divide(state.v, 1.0 - state.beta2 ** t, out=a)
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** t, out=a)
     np.sqrt(a, out=a)
-    a += state.eps
+    a += ADAM_EPS
     b = state.m / a
-    b *= state.lr / (1.0 - state.beta1 ** t)
+    b *= state.lr / (1.0 - ADAM_BETA1 ** t)
     theta -= b

@@ -23,6 +23,7 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 180
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 55
+MAX_TICKS = 7
 
 # (raw, smoothed) stroke pairs, one per trace
 PALETTE = [
@@ -60,20 +61,22 @@ def _text(x, y, text: str, size=12, anchor=None, transform=None) -> str:
                 font_family="sans-serif", transform=transform)
 
 
-def _nice_ticks(lo: float, hi: float, max_ticks: int = 7) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw_step = (hi - lo) / max_ticks
+    raw_step = (hi - lo) / MAX_TICKS
     magnitude = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * magnitude
-        if (hi - lo) / step <= max_ticks:
+        if (hi - lo) / step <= MAX_TICKS:
             break
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 else t)
+        if t + step == t:  # a step below half the float spacing at t
+            break
         t += step
     return ticks
 

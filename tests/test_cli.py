@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from enum import Enum
 
 import numpy as np
@@ -335,6 +336,12 @@ class TestSelftestCommand:
         assert code == 0
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_full_gradient_line_carries_unfiltered_metric(self, capsys):
+        main(["selftest"])
+        lines = capsys.readouterr().out.splitlines()
+        line = next(x for x in lines if x.startswith("PASS gradient-integrity:"))
+        assert re.search(r"over 10 points \(.*\); unfiltered metric \d\.\de[-+]\d\d$", line)
 
     def test_quick_selftest_output_is_deterministic(self, capsys):
         main(["selftest", "--quick"])

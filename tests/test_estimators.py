@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from totalcorr.diagnostics import LossProbe, fd_report
+from totalcorr.diagnostics import LossProbe, critic_probe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
 from totalcorr.estimators import (
     LOWER_BOUNDS,
@@ -50,18 +50,6 @@ def scores_of(critic, u, v):
 
 def value(bound, scores):
     return bound(scores, 1.0)[0]
-
-
-def critic_loss_probe(critic, u, v, loss_fn):
-    """LossProbe of loss_fn(scores) through the critic's forward and backward."""
-
-    def loss_grad_sig():
-        scores, cache = pair_scores(critic, u, v)
-        loss, grad = loss_fn(scores)
-        critic.backward(cache, grad.reshape(-1, 1))
-        return loss, critic.grad, np.packbits(cache.hidden > 0).tobytes()
-
-    return LossProbe("critic", critic.theta, loss_grad_sig)
 
 
 def train_on_gaussian(kind, rho=0.9, steps=4000, seed=1234, dim=2):
@@ -127,8 +115,7 @@ class TestMineValue:
         critic = Mlp.initialize(2, 6, 1, rng)
         u = rng.standard_normal((8, 1))
         v = rng.standard_normal((8, 1))
-
-        probe = critic_loss_probe(critic, u, v, lambda s: _mine_surrogate(s, 1.7))
+        probe = critic_probe("MINE", critic, u, v, lambda s: _mine_surrogate(s, 1.7))
         assert fd_report(probe).worst_raw < 1e-4
 
     def test_ema_underflow_raises(self):
@@ -194,8 +181,7 @@ class TestNwjValue:
         critic = Mlp.initialize(2, 6, 1, rng)
         u = rng.standard_normal((8, 1))
         v = rng.standard_normal((8, 1))
-
-        probe = critic_loss_probe(critic, u, v, lambda s: nwj_bound(s, 1.0)[1:3])
+        probe = critic_probe("NWJ", critic, u, v, lambda s: nwj_bound(s, 1.0)[1:3])
         assert fd_report(probe).worst_raw < 1e-4
 
     def test_trained_value_on_correlated_gaussian(self):

@@ -486,6 +486,12 @@ class TestTracePersistence:
             (["1,2.0,0.5,0.5,0,0.25", "1,2.0,0.5,0.5,1,0.25", "", "2,2.0,0.5,0.5,0,0.25"],
              5, "row count is not a multiple of term count"),
             (["", "1,2.0,0.5,0.5,0,0.5", "2,2.0,0.5,1_0,0,inf"], 4, "term_estimate is not finite"),
+            # lines end at \n, \r\n or \r only, as text mode reads them: a form
+            # feed or vertical tab stays in its line, which is then not blank
+            (["1,2.0,0.5,0.5,0,0.25\x0c2,2.0,0.5,0.5,0,0.25"], 2, "expected 6 fields, got 11"),
+            (["1,2.0,0.5,0.5,0,0.2\x0b5"], 2, "could not convert string to float"),
+            (["1,2.0,0.5,0.5,0,0.5", "\x0c", "2,2.0,inf,0.5,0,0.5"], 3, "expected 6 fields, got 1"),
+            (["1,2.0,0.5,0.5,0,0.25\r1,2.0,0.5,0.5,1,0.2\xe9"], 3, "non-ASCII byte 0xe9"),
         ],
     )
     def test_malformed_rows_name_their_line(self, tmp_path, rows, line, message):

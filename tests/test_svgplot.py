@@ -1,12 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import totalcorr
 from totalcorr.errors import ParameterError
-from totalcorr.harness import TrainingTrace, smooth
+from totalcorr.harness import TrainingTrace, persist_trace, smooth
 from totalcorr.svgplot import _nice_ticks, _step_points, render_traces
 
 GOLDEN_SVG = Path(__file__).parent / "data" / "golden_plot.svg"
@@ -20,6 +24,15 @@ def trace_from(raw, targets):
         raw=raw,
         smoothed=smooth(raw, 2),
         terms=raw[:, None].copy(),
+    )
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """python with ``args`` in a child process that is killed after 20 s, so
+    a loop that never ends fails the test instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(totalcorr.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=20
     )
 
 
@@ -69,6 +82,21 @@ class TestNiceTicks:
 
     def test_degenerate_range(self):
         assert _nice_ticks(3.0, 3.0) == [3.0]
+
+    def test_range_below_float_spacing_ends(self):
+        # the step is below half the float spacing at 1.0, so t += step stays put
+        code = "import totalcorr.svgplot as s; print(s._nice_ticks(1.0, 1.0000000000000002))"
+        done = run_python("-c", code)
+        assert done.returncode == 0 and done.stdout.startswith("[")
+
+    def test_plot_of_nearly_flat_trace_ends(self, tmp_path):
+        raw = np.ones(10)
+        raw[4] = 1.0000000000000002
+        csv, svg = tmp_path / "flat.csv", tmp_path / "flat.svg"
+        persist_trace(trace_from(raw, np.ones(10)), csv)
+        done = run_python("-m", "totalcorr.cli", "plot", str(csv), "--out", str(svg))
+        assert done.returncode == 0, done.stderr
+        assert svg.read_text().startswith("<svg")
 
 
 class TestRenderTraces:
