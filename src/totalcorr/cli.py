@@ -80,7 +80,9 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     fields, set_on = {}, {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # read_text has turned \r\n and \r into \n, the only line end left;
+    # str.splitlines() would also end a line at \v, \f and \x1c-\x1e
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -83,18 +83,18 @@ def make_loss_probes(rng: np.random.Generator) -> list[LossProbe]:
         # has a row-constant ReLU mask) carry exactly-zero gradients
         (MiEstimatorKind.INFONCE, lambda s: infonce_bound(s, 1.0)[1:3]),
     ):
-        critic = create_term_estimator(kind, 2, 2, rng).critic
+        critic = create_term_estimator(kind, 2, 2, rng).net
         probes.append(critic_probe(kind.value, critic, u, v, loss_fn))
 
-    club = create_term_estimator(MiEstimatorKind.CLUB, 2, 2, rng)
+    head = create_term_estimator(MiEstimatorKind.CLUB, 2, 2, rng).net
 
     def club_lgs():
-        cache = cond_gaussian_forward(club.head, u, v)
-        loss = _club_nll(club.head, cache)
+        cache = cond_gaussian_forward(head, u, v)
+        loss = _club_nll(head, cache)
         masks = (cache.mu_cache.hidden > 0, cache.logvar_cache.hidden > 0, logvar_passes(cache))
-        return loss, club.grad, b"".join(np.packbits(m).tobytes() for m in masks)
+        return loss, head.grad, b"".join(np.packbits(m).tobytes() for m in masks)
 
-    return probes + [LossProbe("CLUB", club.theta, club_lgs)]
+    return probes + [LossProbe("CLUB", head.theta, club_lgs)]
 
 
 @dataclass

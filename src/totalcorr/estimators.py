@@ -42,30 +42,21 @@ class MiEstimatorKind(Enum):
     INFONCE = "INFONCE"
     CLUB = "CLUB"
 
-    @property
-    def is_upper_bound(self) -> bool:
-        return self is MiEstimatorKind.CLUB
-
-    @property
-    def is_lower_bound(self) -> bool:
-        return not self.is_upper_bound
-
 
 @dataclass
 class MiTermEstimator:
-    """One trainable MI estimator: critic or conditional head plus optimizer.
+    """One trainable MI estimator: its network plus optimizer.
 
-    Every parameter array of the critic or head is a view into ``theta``, the
-    one vector that Adam updates; backward fills ``grad``, laid out the same.
+    ``net`` is the scalar critic of MINE, NWJ and InfoNCE or CLUB's
+    conditional Gaussian head. The network owns the vectors: every parameter
+    array of it is a view into ``net.theta``, the one vector that Adam
+    updates, and backward fills ``net.grad``, laid out the same.
     """
 
     kind: MiEstimatorKind
     u_dim: int
     v_dim: int
-    critic: Mlp | None
-    head: CondGaussianHead | None
-    theta: np.ndarray
-    grad: np.ndarray
+    net: Mlp | CondGaussianHead
     adam: AdamState
     ema_denominator: float = 1.0
 
@@ -81,21 +72,10 @@ def create_term_estimator(
     if min(u_dim, v_dim) < 1:
         raise ParameterError("u_dim and v_dim must be positive")
     if kind is MiEstimatorKind.CLUB:
-        critic = None
-        head = owner = CondGaussianHead.initialize(u_dim, v_dim, hidden, rng)
+        net = CondGaussianHead.initialize(u_dim, v_dim, hidden, rng)
     else:
-        critic = owner = Mlp.initialize(u_dim + v_dim, hidden, 1, rng)
-        head = None
-    return MiTermEstimator(
-        kind=kind,
-        u_dim=u_dim,
-        v_dim=v_dim,
-        critic=critic,
-        head=head,
-        theta=owner.theta,
-        grad=owner.grad,
-        adam=AdamState.for_params(owner.theta, lr=lr),
-    )
+        net = Mlp.initialize(u_dim + v_dim, hidden, 1, rng)
+    return MiTermEstimator(kind, u_dim, v_dim, net, AdamState.for_params(net.theta, lr=lr))
 
 
 def _check_pair_batch(u: np.ndarray, v: np.ndarray) -> int:
@@ -250,8 +230,14 @@ def _club_nll(head: CondGaussianHead, cache: CondGaussianCache) -> float:
     return -float(np.mean(logpdf))
 
 
-def _term_batch(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """u and v as float64 pair batches of the estimator's widths (u_dim, v_dim)."""
+def _bound(
+    est: MiTermEstimator, u: np.ndarray, v: np.ndarray, value_only: bool
+) -> tuple[float, float] | float:
+    """The estimator's bound on the pair batch (u, v), of widths (u_dim, v_dim).
+
+    With value_only=True, the value alone. Otherwise (value, loss), with the
+    loss's gradient in ``est.net.grad`` and MINE's moving average advanced.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     _check_pair_batch(u, v)
@@ -259,16 +245,20 @@ def _term_batch(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> tuple[np.
         raise ParameterError(
             f"expected widths ({est.u_dim}, {est.v_dim}), got ({u.shape[1]}, {v.shape[1]})"
         )
-    return u, v
+    if est.kind is MiEstimatorKind.CLUB:
+        return club_bound(est.net, u, v, value_only=value_only)
+    scores, cache = pair_scores(est.net, u, v)
+    bound = LOWER_BOUNDS[est.kind]
+    if value_only:
+        return bound(scores, est.ema_denominator, value_only=True)
+    value, loss, grad_scores, est.ema_denominator = bound(scores, est.ema_denominator)
+    est.net.backward(cache, grad_scores.reshape(-1, 1))
+    return value, loss
 
 
 def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     """Current bound value on a batch, without any parameter update."""
-    u, v = _term_batch(est, u, v)
-    if est.kind is MiEstimatorKind.CLUB:
-        return club_bound(est.head, u, v, value_only=True)
-    scores, _ = pair_scores(est.critic, u, v)
-    return LOWER_BOUNDS[est.kind](scores, est.ema_denominator, value_only=True)
+    return _bound(est, u, v, value_only=True)
 
 
 def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
@@ -278,19 +268,12 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     objective); CLUB descends the conditional NLL while the returned value is
     the upper bound itself.
     """
-    u, v = _term_batch(est, u, v)
     step = est.adam.step_count + 1
     try:
-        if est.kind is MiEstimatorKind.CLUB:
-            value, loss = club_bound(est.head, u, v)
-        else:
-            scores, cache = pair_scores(est.critic, u, v)
-            value, loss, grad_scores, ema = LOWER_BOUNDS[est.kind](scores, est.ema_denominator)
-            est.ema_denominator = ema
-            est.critic.backward(cache, grad_scores.reshape(-1, 1))
+        value, loss = _bound(est, u, v, value_only=False)
         if not math.isfinite(loss):
             raise TrainingError("non-finite loss")
-        adam_step(est.theta, est.grad, est.adam)
+        adam_step(est.net.theta, est.net.grad, est.adam)
     except TrainingError as exc:
         exc.kind, exc.step = est.kind.value, step
         raise

@@ -70,15 +70,15 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         step = mult * magnitude
         if (hi - lo) / step <= MAX_TICKS:
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
-        ticks.append(0.0 if abs(t) < 1e-12 else t)
+        if t >= lo - 1e-9 * step:  # t rounds below lo if step is under its spacing
+            ticks.append(0.0 if abs(t) < 1e-12 else t)
         if t + step == t:  # a step below half the float spacing at t
             break
         t += step
-    return ticks
+    return ticks or [lo]
 
 
 def _step_points(steps: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

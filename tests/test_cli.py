@@ -1,14 +1,16 @@
 import dataclasses
+import math
 import re
 from enum import Enum
 
 import numpy as np
 import pytest
 
+from totalcorr import cli
 from totalcorr.cli import main, parse_config_file
 from totalcorr.decomposition import PathKind
 from totalcorr.errors import ConfigError
-from totalcorr.estimators import MiEstimatorKind
+from totalcorr.estimators import LOWER_BOUNDS, MiEstimatorKind, nwj_bound
 from totalcorr.harness import ExperimentConfig, load_metrics, load_trace
 
 SMOKE_CONFIG = """\
@@ -103,6 +105,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="batch_size"):
             parse_config_file(path)
 
+    def test_only_newlines_end_a_line(self, tmp_path):
+        # str.splitlines() would also end a line at \v, \f and \x1c-\x1e
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"seed = 5\r\ndim = 3\rbatch_size = 8\n")
+        assert parse_config_file(path) == ExperimentConfig(seed=5, dim=3, batch_size=8)
+        for separator in "\x0b\x0c\x1c\x1d\x1e":
+            path.write_text(f"seed = 1{separator}seed = 2")
+            with pytest.raises(ConfigError, match="line 1: invalid value for 'seed'"):
+                parse_config_file(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config_file(tmp_path / "nope.txt")
@@ -175,6 +187,27 @@ class TestRunCommand:
         assert code == 1
         assert "line 8: 'seed' is already set on line 7" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_failed_runs_exit_2_and_keep_the_others(self, smoke_config, tmp_path, capsys, monkeypatch):
+        def nan_loss(scores, ema, value_only=False):
+            result = nwj_bound(scores, ema, value_only)
+            return result if value_only else (result[0], math.nan, *result[2:])
+
+        monkeypatch.setitem(LOWER_BOUNDS, MiEstimatorKind.NWJ, nan_loss)
+        smoke_config.write_text(SMOKE_CONFIG + "estimators = MINE, NWJ\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(smoke_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"run failed for NWJ/{path}: non-finite loss [estimator=NWJ, term=0, step=1]"
+            for path in ("TREE", "LINE")
+        ]
+        traces = sorted(p.name for p in out.glob("trace_*.csv"))
+        assert traces == ["trace_MINE_LINE.csv", "trace_MINE_TREE.csv"]
+        rows = load_metrics(out / "metrics.csv")
+        assert [(r.estimator, r.path) for r in rows] == [
+            (MiEstimatorKind.MINE, path) for path in (PathKind.TREE, PathKind.LINE) for _ in range(2)
+        ]
 
     def test_single_variable_at_target_zero_exits_1_before_out(self, tmp_path, capsys):
         # such a run has no MI terms, so its trace files would hold no rows
@@ -342,6 +375,15 @@ class TestSelftestCommand:
         lines = capsys.readouterr().out.splitlines()
         line = next(x for x in lines if x.startswith("PASS gradient-integrity:"))
         assert re.search(r"over 10 points \(.*\); unfiltered metric \d\.\de[-+]\d\d$", line)
+
+    def test_failing_check_exits_2_with_its_fail_line(self, capsys, monkeypatch):
+        failing = lambda **kwargs: (False, "max (value - ln N) = 1.000e+00")
+        checks = [(n, failing if n == "infonce-cap" else c, q) for n, c, q in cli._SELFTEST_CHECKS]
+        monkeypatch.setattr(cli, "_SELFTEST_CHECKS", tuple(checks))
+        assert main(["selftest", "--quick"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS"] * 4 + ["FAIL"]
+        assert lines[-1] == "FAIL infonce-cap: max (value - ln N) = 1.000e+00"
 
     def test_quick_selftest_output_is_deterministic(self, capsys):
         main(["selftest", "--quick"])

@@ -142,20 +142,20 @@ class TestMakeTcEstimator:
     def test_mine_tree_input_widths(self):
         plan = build_plan(4, PathKind.TREE)
         est = make_tc_estimator(plan, MiEstimatorKind.MINE, seed=0)
-        assert [t.critic.in_dim for t in est.terms] == [4, 2, 2]
+        assert [t.net.in_dim for t in est.terms] == [4, 2, 2]
 
     def test_same_seed_gives_identical_parameters(self):
         plan = build_plan(4, PathKind.TREE)
         a = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=99)
         b = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=99)
         for ta, tb in zip(a.terms, b.terms):
-            assert np.array_equal(ta.theta, tb.theta)
+            assert np.array_equal(ta.net.theta, tb.net.theta)
 
     def test_vector_blocks(self):
         plan = build_plan(3, PathKind.LINE)
         est = make_tc_estimator(plan, MiEstimatorKind.MINE, seed=0, dims=[2, 1, 3])
         assert est.width == 6
-        assert [t.critic.in_dim for t in est.terms] == [3, 6]
+        assert [t.net.in_dim for t in est.terms] == [3, 6]
 
     def test_bad_dims_rejected(self):
         plan = build_plan(3, PathKind.LINE)
@@ -175,7 +175,7 @@ class TestTcTraining:
         plan = build_plan(4, PathKind.TREE)
         est = make_tc_estimator(plan, MiEstimatorKind.MINE, seed=0)
         for term_est in est.terms:
-            term_est.theta[:] = 0.0
+            term_est.net.theta[:] = 0.0
         batch = sample(equicorrelated_sigma(4, 0.5), 16, np.random.default_rng(0))
         total, per_term = tc_train_step(est, batch)
         assert total == 0.0
@@ -215,16 +215,16 @@ class TestTcTraining:
     def test_evaluate_does_not_update(self):
         est = make_tc_estimator(build_plan(4, PathKind.LINE), MiEstimatorKind.CLUB, seed=1)
         batch = sample(equicorrelated_sigma(4, 0.5), 16, np.random.default_rng(3))
-        before = [t.theta.copy() for t in est.terms]
+        before = [t.net.theta.copy() for t in est.terms]
         total_a, _ = tc_evaluate(est, batch)
         total_b, _ = tc_evaluate(est, batch)
         assert total_a == total_b
         for term_est, saved in zip(est.terms, before):
-            assert np.array_equal(term_est.theta, saved)
+            assert np.array_equal(term_est.net.theta, saved)
 
     def test_training_error_carries_each_layers_field_once(self):
         est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.NWJ, seed=0)
-        est.terms[1].critic.b2[...] = 1e6  # e^(score-1) overflows to inf
+        est.terms[1].net.b2[...] = 1e6  # e^(score-1) overflows to inf
         batch = sample(equicorrelated_sigma(4, 0.5), 8, np.random.default_rng(0))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as info:
             tc_train_step(est, batch)

@@ -121,8 +121,8 @@ class TestMineValue:
     def test_ema_underflow_raises(self):
         # scores of -900 everywhere; the floor is checked by training only
         est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, np.random.default_rng(0))
-        est.theta[:] = 0.0
-        est.critic.b2[...] = -900.0
+        est.net.theta[:] = 0.0
+        est.net.b2[...] = -900.0
         est.ema_denominator = 1e-31
         u = v = np.zeros((4, 1))
         assert evaluate(est, u, v) == 0.0
@@ -132,8 +132,8 @@ class TestMineValue:
     def test_ema_overflow_raises(self):
         # scores of 800 everywhere: e^800 overflows the moving average
         est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, np.random.default_rng(0))
-        est.theta[:] = 0.0
-        est.critic.b2[...] = 800.0
+        est.net.theta[:] = 0.0
+        est.net.b2[...] = 800.0
         u = v = np.zeros((4, 1))
         assert evaluate(est, u, v) == 0.0
         with pytest.raises(TrainingError, match="overflow"):
@@ -149,8 +149,8 @@ class TestMineValue:
     )
     def test_failed_step_names_estimator_and_step(self, b2, ema, message):
         est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, np.random.default_rng(0))
-        est.theta[:] = 0.0
-        est.critic.b2[...] = b2
+        est.net.theta[:] = 0.0
+        est.net.b2[...] = b2
         est.ema_denominator = ema
         u = v = np.zeros((4, 1))
         with pytest.raises(TrainingError) as info:
@@ -263,7 +263,7 @@ class TestClubValue:
         losses = []
         for _ in range(2000):
             batch = sample(model, 64, rng)
-            losses.append(club_bound(est.head, batch[:, :1], batch[:, 1:])[1])
+            losses.append(club_bound(est.net, batch[:, :1], batch[:, 1:])[1])
             train_step(est, batch[:, :1], batch[:, 1:])
         block = [float(np.mean(losses[i : i + 200])) for i in range(0, 2000, 200)]
         # strictly decreasing until the noise floor (~0.80 nats) is reached,
@@ -283,12 +283,6 @@ class TestClubValue:
 
 
 class TestBoundDirectionMetadata:
-    def test_club_is_the_only_upper_bound(self):
-        assert MiEstimatorKind.CLUB.is_upper_bound
-        assert not MiEstimatorKind.CLUB.is_lower_bound
-        for kind in (MiEstimatorKind.MINE, MiEstimatorKind.NWJ, MiEstimatorKind.INFONCE):
-            assert kind.is_lower_bound
-
     def test_constant_score_relation(self):
         # for constant matrices mine is 0 and nwj is c - e^(c-1) <= 0,
         # with equality only at c = 1
@@ -322,7 +316,7 @@ class TestTrainStep:
     def test_zero_initialized_mine_starts_at_zero(self):
         rng = np.random.default_rng(11)
         est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, rng)
-        est.theta[:] = 0.0
+        est.net.theta[:] = 0.0
         batch = np.random.default_rng(0).standard_normal((16, 2))
         assert train_step(est, batch[:, :1], batch[:, 1:]) == 0.0
 
@@ -330,21 +324,23 @@ class TestTrainStep:
     def test_parameters_are_views_of_theta(self, kind):
         rng = np.random.default_rng(14)
         est = create_term_estimator(kind, 2, 1, rng)
-        nets = (est.head.mu_net, est.head.logvar_net) if est.head else (est.critic,)
+        theta, grad = est.net.theta, est.net.grad
+        club = kind is MiEstimatorKind.CLUB
+        nets = (est.net.mu_net, est.net.logvar_net) if club else (est.net,)
         params = [p for net in nets for p in (net.w1b1, net.w1, net.b1, net.w2, net.b2)]
         grads = [g for net in nets for g in (net.dw1b1, net.dw2, net.db2)]
-        assert sum(net.w1b1.size + net.w2.size + net.b2.size for net in nets) == est.theta.size
-        assert est.grad.shape == est.theta.shape
-        assert all(np.shares_memory(p, est.theta) for p in params)
-        assert all(np.shares_memory(g, est.grad) for g in grads)
-        before = est.theta.copy()
+        assert sum(net.w1b1.size + net.w2.size + net.b2.size for net in nets) == theta.size
+        assert grad.shape == theta.shape
+        assert all(np.shares_memory(p, theta) for p in params)
+        assert all(np.shares_memory(g, grad) for g in grads)
+        before = theta.copy()
         train_step(est, rng.standard_normal((16, 2)), rng.standard_normal((16, 1)))
-        assert not np.array_equal(est.theta, before)
+        assert not np.array_equal(theta, before)
         # theta holds each net as [w1 | b1] row by row, then w2 and b2, and
         # grad holds the gradient views in the same places
         flat = [[np.column_stack([n.w1, n.b1]), n.w2, n.b2] for n in nets]
-        assert np.array_equal(np.concatenate([p.ravel() for ps in flat for p in ps]), est.theta)
-        assert np.array_equal(np.concatenate([g.ravel() for g in grads]), est.grad)
+        assert np.array_equal(np.concatenate([p.ravel() for ps in flat for p in ps]), theta)
+        assert np.array_equal(np.concatenate([g.ravel() for g in grads]), grad)
 
     def test_deterministic_given_seed(self):
         def run():
@@ -359,6 +355,27 @@ class TestTrainStep:
             train_step(est, np.zeros((8, 1)), np.zeros((8, 1)))
 
     @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    def test_zero_width_rejected(self, kind):
+        with pytest.raises(ParameterError, match="u_dim and v_dim must be positive"):
+            create_term_estimator(kind, 0, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            (np.zeros(8), np.zeros((8, 1)), "u and v must be 2-d batches"),
+            (np.zeros((8, 1)), np.zeros((6, 1)), "batch sizes disagree: 8 vs 6"),
+        ],
+    )
+    def test_malformed_batch_rejected_before_any_update(self, kind, u, v, message):
+        est = create_term_estimator(kind, 1, 1, np.random.default_rng(0))
+        before = est.net.theta.copy()
+        for step in (evaluate, train_step):
+            with pytest.raises(ParameterError, match=message):
+                step(est, u, v)
+        assert est.adam.step_count == 0 and np.array_equal(est.net.theta, before)
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
     def test_evaluate_rejects_a_split_as_train_step_does(self, kind):
         # widths (2, 2) total 4 as (1, 3) does, which a critic alone would accept
         est = create_term_estimator(kind, 1, 3, np.random.default_rng(0))
@@ -369,7 +386,7 @@ class TestTrainStep:
 
     def test_non_finite_loss_names_kind_and_step(self):
         est = create_term_estimator(MiEstimatorKind.NWJ, 1, 1, np.random.default_rng(1))
-        est.critic.b2[...] = 1e6  # e^(score-1) overflows to inf
+        est.net.b2[...] = 1e6  # e^(score-1) overflows to inf
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             TrainingError, match="NWJ"
         ):
@@ -393,9 +410,9 @@ class TestTrainStep:
         v = rng.standard_normal((8, 2))
         got = evaluate(est, u, v)
         if kind is MiEstimatorKind.CLUB:
-            assert got == club_bound(est.head, u, v)[0]
+            assert got == club_bound(est.net, u, v)[0]
         else:
-            scores = scores_of(est.critic, u, v)
+            scores = scores_of(est.net, u, v)
             assert got == value(LOWER_BOUNDS[kind], scores)
 
     @pytest.mark.parametrize("kind", list(MiEstimatorKind))
@@ -429,7 +446,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(Mlp, "forward", counting_forward)
         train_step(est, u, v)
-        assert calls == [est.head.mu_net, est.head.logvar_net]
+        assert calls == [est.net.mu_net, est.net.logvar_net]
         calls.clear()
         evaluate(est, u, v)
-        assert calls == [est.head.mu_net, est.head.logvar_net]
+        assert calls == [est.net.mu_net, est.net.logvar_net]

@@ -225,7 +225,7 @@ class TestEvaluateMetrics:
         # zeroed InfoNCE critics estimate exactly 0, and truth is 0 for rho=0
         est = make_tc_estimator(build_plan(4, PathKind.LINE), MiEstimatorKind.INFONCE, seed=0)
         for term_est in est.terms:
-            term_est.theta[:] = 0.0
+            term_est.net.theta[:] = 0.0
         model = equicorrelated_sigma(4, 0.0)
         bias, variance, mse = evaluate_metrics(est, model, 8, np.random.default_rng(1), 8)
         assert (bias, variance, mse) == (0.0, 0.0, 0.0)
@@ -237,7 +237,7 @@ class TestEvaluateMetrics:
 
     def test_non_finite_estimate_raises(self):
         est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.MINE, seed=0)
-        est.terms[1].critic.w2[...] = np.nan
+        est.terms[1].net.w2[...] = np.nan
         with pytest.raises(TrainingError, match="non-finite estimate"):
             evaluate_metrics(est, equicorrelated_sigma(4, 0.5), 4, np.random.default_rng(0), 8)
 

@@ -193,22 +193,23 @@ class TestGradientLayout:
         "kind", [MiEstimatorKind.MINE, MiEstimatorKind.NWJ, MiEstimatorKind.CLUB]
     )
     def test_grad_after_train_step_matches_plain_numpy(self, kind):
-        # est.grad after one step is the gradient at the parameters before it,
-        # packed in theta's layout; a CLUB head with two outputs runs the
-        # general backward, the scalar critic the factorized one
+        # est.net.grad after one step is the gradient at the parameters
+        # before it, packed in theta's layout; a CLUB head with two outputs
+        # runs the general backward, the scalar critic the factorized one
         rng = np.random.default_rng(18)
-        n, v_dim = 16, 2 if kind is MiEstimatorKind.CLUB else 1
+        club = kind is MiEstimatorKind.CLUB
+        n, v_dim = 16, 2 if club else 1
         est = create_term_estimator(kind, 2, v_dim, rng)
-        nets = (est.head.mu_net, est.head.logvar_net) if est.head else (est.critic,)
+        nets = (est.net.mu_net, est.net.logvar_net) if club else (est.net,)
         u, v = rng.standard_normal((n, 2)), rng.standard_normal((n, v_dim))
-        before, ema = est.theta.copy(), est.ema_denominator
+        before, ema = est.net.theta.copy(), est.ema_denominator
         train_step(est, u, v)
         old, offset = [], 0
         for net in nets:
             w1, b1, w2, b2 = split(net, before[offset : offset + net.theta.size])
             old.append(SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2))
             offset += net.theta.size
-        if kind is MiEstimatorKind.CLUB:
+        if club:
             mu = plain_mlp(old[0], u, np.zeros((n, v_dim)))[0]
             raw = plain_mlp(old[1], u, np.zeros((n, v_dim)))[0]
             inv_var = np.exp(-np.clip(raw, -10.0, 10.0))
@@ -221,7 +222,7 @@ class TestGradientLayout:
             scores = plain_mlp(old[0], x, np.zeros((n * n, 1)))[0].reshape(n, n)
             dscores = LOWER_BOUNDS[kind](scores, ema)[2]
             wants = [plain_mlp(old[0], x, dscores.reshape(-1, 1))[1]]
-        assert np.array_equal(est.grad, np.concatenate([net.grad for net in nets]))
+        assert np.array_equal(est.net.grad, np.concatenate([net.grad for net in nets]))
         for net, want in zip(nets, wants):
             for got_part, want_part in zip(split(net, net.grad), split(net, want)):
                 assert_rel_close(got_part, want_part)
@@ -265,6 +266,17 @@ class TestCondGaussian:
         cache = cond_gaussian_forward(head, np.zeros((2, 1)), np.ones((2, 1)))
         cond_gaussian_logpdf_backward(head, cache, np.ones(2))
         assert np.array_equal(head.logvar_net.db2, np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            (np.zeros((3, 1)), np.zeros((2, 1)), "u and v must be 2-d with equal batch sizes"),
+            (np.zeros((3, 1)), np.zeros((3, 2)), "v must have width 1, got 2"),
+        ],
+    )
+    def test_malformed_batch_rejected(self, u, v, message):
+        with pytest.raises(ParameterError, match=message):
+            cond_gaussian_forward(constant_head(), u, v)
 
     def test_pairwise_matrix_matches_rowwise(self):
         rng = np.random.default_rng(7)

@@ -84,10 +84,12 @@ class TestNiceTicks:
         assert _nice_ticks(3.0, 3.0) == [3.0]
 
     def test_range_below_float_spacing_ends(self):
-        # the step is below half the float spacing at 1.0, so t += step stays put
+        # the step is below half the float spacing at 1.0, so t += step stays
+        # put, and the first tick rounds to 0.9999999999999999, below the range;
+        # with no tick left inside it, lo itself is the one tick
         code = "import totalcorr.svgplot as s; print(s._nice_ticks(1.0, 1.0000000000000002))"
         done = run_python("-c", code)
-        assert done.returncode == 0 and done.stdout.startswith("[")
+        assert done.returncode == 0 and done.stdout == "[1.0]\n"
 
     def test_plot_of_nearly_flat_trace_ends(self, tmp_path):
         raw = np.ones(10)
@@ -96,7 +98,10 @@ class TestNiceTicks:
         persist_trace(trace_from(raw, np.ones(10)), csv)
         done = run_python("-m", "totalcorr.cli", "plot", str(csv), "--out", str(svg))
         assert done.returncode == 0, done.stderr
-        assert svg.read_text().startswith("<svg")
+        text = svg.read_text()
+        assert text.startswith("<svg")
+        grid = re.findall(r'<line x1="[^"]*" y1="([^"]*)"[^>]*stroke="#e0e0e0"', text)
+        assert grid == ["485.00"]  # the bottom edge of the plot, at y = 1.0
 
 
 class TestRenderTraces:
