@@ -16,6 +16,7 @@ import math
 import re
 import traceback
 import warnings
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
@@ -23,6 +24,7 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import (
     PathKind,
@@ -73,10 +75,9 @@ _METRICS_ROW = (
 )
 TRACE_HEADER = ",".join(name for name, _, _ in _TRACE_ROW)
 METRICS_HEADER = ",".join(name for name, _, _ in _METRICS_ROW)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Steps per block of trace lines: persist_trace formats and writes one block
+# at a time, so a trace file's text is never held whole in memory.
+_BLOCK_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,24 @@ class RunResult:
 
 
 def smooth(values: np.ndarray, bandwidth: int = 200) -> np.ndarray:
-    """Trailing moving average over the previous min(bandwidth, i+1) values."""
+    """Trailing moving average over the previous min(bandwidth, i+1) values.
+
+    The first bandwidth - 1 steps average the values that exist so far, one
+    np.mean each; the steps with a full window take their means in one numpy
+    call over all windows. Both sum each window as np.mean of that window does,
+    so the result is byte-equal to one np.mean per step, which a test pins.
+    """
     if bandwidth < 1:
         raise ParameterError(f"bandwidth must be >= 1, got {bandwidth}")
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ParameterError(f"values must be 1-D, got shape {values.shape}")
     out = np.empty_like(values)
-    for i in range(len(values)):
-        out[i] = np.mean(values[max(0, i - bandwidth + 1) : i + 1])
+    head = min(bandwidth - 1, len(values))
+    for i in range(head):
+        out[i] = np.mean(values[: i + 1])
+    if head < len(values):
+        out[head:] = sliding_window_view(values, bandwidth).mean(axis=1)
     return out
 
 
@@ -353,17 +365,27 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 
 def persist_trace(trace: TrainingTrace, path: str | Path) -> None:
     """Write one row per (step, term); floats carry 17 significant digits."""
-    lines = []
-    for i in range(len(trace.steps)):
-        step = str(int(trace.steps[i]))
-        target = _fmt(trace.target[i])
-        raw = _fmt(trace.raw[i])
-        smoothed = _fmt(trace.smoothed[i])
-        for k in range(trace.n_terms):
-            lines.append(
-                f"{step},{target},{raw},{smoothed},{k},{_fmt(trace.terms[i, k])}"
-            )
-    _write_csv(path, TRACE_HEADER, lines)
+    _write_csv(path, TRACE_HEADER, _trace_blocks(trace))
+
+
+def _trace_blocks(trace: TrainingTrace) -> Iterator[list[str]]:
+    """The lines of the trace file, _BLOCK_STEPS steps at a time. A block's
+    columns are formatted whole, and each row is joined from its step's cells."""
+    for start in range(0, len(trace.steps), _BLOCK_STEPS):
+        block = slice(start, start + _BLOCK_STEPS)
+        steps = trace.steps[block].astype(np.int64).tolist()
+        columns = [_cells(c[block]) for c in (trace.target, trace.raw, trace.smoothed)]
+        terms = [_cells(c) for c in trace.terms[block].T]
+        lines = []
+        for step, target, raw, smoothed, *cells in zip(steps, *columns, *terms):
+            prefix = f"{step},{target},{raw},{smoothed},"
+            lines += [f"{prefix}{k},{cell}" for k, cell in enumerate(cells)]
+        yield lines
+
+
+def _cells(values: np.ndarray) -> list[str]:
+    """Each value with 17 significant digits."""
+    return [format(v, ".17g") for v in values.tolist()]
 
 
 def load_trace(path: str | Path) -> TrainingTrace:
@@ -423,7 +445,7 @@ def metrics_cells(row: MetricsRow, float_format: str = ".17g") -> list[str]:
 
 
 def persist_metrics(rows: list[MetricsRow], path: str | Path) -> None:
-    _write_csv(path, METRICS_HEADER, [",".join(metrics_cells(r)) for r in rows])
+    _write_csv(path, METRICS_HEADER, [[",".join(metrics_cells(r)) for r in rows]])
 
 
 def load_metrics(path: str | Path) -> list[MetricsRow]:
@@ -431,9 +453,14 @@ def load_metrics(path: str | Path) -> list[MetricsRow]:
     return [MetricsRow(*row) for row in _read_csv(Path(path), _METRICS_ROW).tolist()]
 
 
-def _write_csv(path: str | Path, header: str, lines: list[str]) -> None:
-    """The header, then one line per row, as ASCII with a final newline."""
-    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="ascii")
+def _write_csv(path: str | Path, header: str, blocks: Iterable[list[str]]) -> None:
+    """The header, then one line per row, as ASCII with a final newline. The
+    lines come in blocks, and each block is written as it comes."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(header + "\n")
+        for lines in blocks:
+            if lines:
+                f.write("\n".join(lines) + "\n")
 
 
 def _read_csv(path: Path, columns: tuple) -> np.ndarray:

@@ -118,6 +118,56 @@ def make_trace(raw, n_terms=2, bandwidth=3):
     )
 
 
+def smooth_per_step(values, bandwidth):
+    """The trailing moving average as one np.mean per step: the oracle whose
+    bytes smooth must reproduce."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(values)
+    for i in range(len(values)):
+        out[i] = np.mean(values[max(0, i - bandwidth + 1) : i + 1])
+    return out
+
+
+def trace_bytes_per_value(trace):
+    """The trace file as one format call per value, joined whole: the oracle
+    whose bytes persist_trace must reproduce."""
+    lines = [harness.TRACE_HEADER]
+    for i in range(len(trace.steps)):
+        step = [str(int(trace.steps[i]))]
+        step += [format(float(c[i]), ".17g") for c in (trace.target, trace.raw, trace.smoothed)]
+        for k in range(trace.n_terms):
+            lines.append(",".join([*step, str(k), format(float(trace.terms[i, k]), ".17g")]))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# values whose 17-digit spelling is easy to get wrong: a signed zero, the
+# smallest subnormal, a value near the float64 maximum, inexact decimals and
+# an integral float
+SPECIAL_VALUES = (-0.0, 5e-324, 1e308, 0.1, 1 / 3, 20.0)
+# steps per block of the trace writer (harness._BLOCK_STEPS)
+BLOCK_STEPS = 2048
+
+
+def special_trace(n_steps, n_terms, seed=0):
+    """A trace of random values over 60 decades, every other one of each
+    column one of SPECIAL_VALUES."""
+    rng = np.random.default_rng(seed)
+
+    def column(*shape, offset):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        flat = x.reshape(-1)
+        flat[::2] = np.resize(np.roll(SPECIAL_VALUES, offset), len(flat[::2]))
+        return x
+
+    return TrainingTrace(
+        steps=np.arange(1, n_steps + 1),
+        target=column(n_steps, offset=0),
+        raw=column(n_steps, offset=1),
+        smoothed=column(n_steps, offset=2),
+        terms=column(n_steps, n_terms, offset=3),
+    )
+
+
 class TestConfigValidation:
     def test_defaults_match_simulation_protocol(self):
         cfg = ExperimentConfig()
@@ -212,6 +262,35 @@ class TestSmooth:
     def test_rejects_zero_bandwidth(self):
         with pytest.raises(ParameterError):
             smooth(np.zeros(3), 0)
+
+    @pytest.mark.parametrize(
+        "values, shape",
+        [(np.arange(6.0).reshape(3, 2), r"\(3, 2\)"), (np.float64(1.5), r"\(\)")],
+    )
+    def test_rejects_values_that_are_not_1d(self, values, shape):
+        with pytest.raises(ParameterError, match=f"1-D.*shape {shape}"):
+            smooth(values, 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 127, 128, 129, 300, 5000])
+    def test_bytes_match_the_per_step_means(self, n):
+        # magnitudes over 16 decades make every change of summation order show
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        for bandwidth in (1, 2, 7, 8, 9, 100, 127, 128, 129, 200, 255, 256, 257, 1000, 4000):
+            assert smooth(x, bandwidth).tobytes() == smooth_per_step(x, bandwidth).tobytes(), bandwidth
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1e300, 1e300), st.sampled_from([math.nan, math.inf, -math.inf])),
+            max_size=300,
+        ),
+        st.integers(1, 260),
+    )
+    def test_bytes_match_the_per_step_means_on_any_floats(self, xs, bandwidth):
+        x = np.array(xs, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # inf - inf is part of the input space
+            assert smooth(x, bandwidth).tobytes() == smooth_per_step(x, bandwidth).tobytes()
 
 
 class TestEvaluateMetrics:
@@ -530,6 +609,17 @@ class TestTracePersistence:
         persist_trace(trace, path)
         assert "0.33333333333333331" in path.read_text()
 
+    @pytest.mark.parametrize("n_terms", [1, 4])
+    @pytest.mark.parametrize("n_steps", [0, 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3])
+    def test_bytes_match_the_per_value_writer(self, tmp_path, n_steps, n_terms):
+        trace = special_trace(n_steps, n_terms, seed=n_steps)
+        path = tmp_path / "trace.csv"
+        persist_trace(trace, path)
+        assert path.read_bytes() == trace_bytes_per_value(trace)
+
+    def test_block_size_is_the_one_the_edge_cases_cover(self):
+        assert harness._BLOCK_STEPS == BLOCK_STEPS
+
 
 class TestMetricsPersistence:
     def rows(self):
@@ -555,6 +645,21 @@ class TestMetricsPersistence:
                 seed=7,
             ),
         ]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 6])
+    def test_bytes_match_the_per_value_writer(self, tmp_path, n_rows):
+        rows = [
+            dataclasses.replace(self.rows()[i % 2], target_tc=t, bias=b, seed=2**64 + i)
+            for i, (t, b) in enumerate(zip(SPECIAL_VALUES, SPECIAL_VALUES[::-1]))
+        ][:n_rows]
+        lines = [METRICS_HEADER]
+        for r in rows:
+            cells = [r.estimator.value, r.path.value]
+            cells += [format(x, ".17g") for x in (r.target_tc, r.bias, r.variance, r.mse)]
+            lines.append(",".join([*cells, str(r.eval_batches), str(r.seed)]))
+        path = tmp_path / "metrics.csv"
+        persist_metrics(rows, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "metrics.csv"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import totalcorr.cli  # noqa: F401  (loads every module the tracer wraps)
-from totalcorr import decomposition
+from totalcorr import decomposition, harness
 from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator
 from totalcorr.estimators import MiEstimatorKind
 from totalcorr.gaussian import equicorrelated_sigma, sample
@@ -77,3 +77,20 @@ def test_training_step_reaches_the_model_layers(tracer_module, kind):
     assert all(span[1] == kind.value for span in tracer.spans)
     rows = {span[5] for span in tracer.spans if span[0] == "nn.Mlp.forward"}
     assert rows == ({n} if kind is MiEstimatorKind.CLUB else {n * n})
+
+
+def test_trace_files_reach_the_harness_layers(tracer_module, tmp_path):
+    raw = np.linspace(0.0, 1.0, 7)
+    path = tmp_path / "trace.csv"
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        trace = harness.TrainingTrace(
+            steps=np.arange(1, 8), target=raw, raw=raw, smoothed=harness.smooth(raw, 3), terms=raw[:, None]
+        )
+        harness.persist_trace(trace, path)
+    finally:
+        tracer.restore()
+    sizes = {span[0]: span[5] for span in tracer.spans}
+    assert {"harness.smooth", "harness.persist_trace"} <= sizes.keys()
+    assert sizes["harness.persist_trace"] == path.stat().st_size > 0
