@@ -75,6 +75,7 @@ _METRICS_ROW = (
 )
 TRACE_HEADER = ",".join(name for name, _, _ in _TRACE_ROW)
 METRICS_HEADER = ",".join(name for name, _, _ in _METRICS_ROW)
+_METRICS_FLOATS = [name for name, dtype, _ in _METRICS_ROW if dtype is np.float64]
 # Steps per block of trace lines: persist_trace formats and writes one block
 # at a time, so a trace file's text is never held whole in memory.
 _BLOCK_STEPS = 2048
@@ -364,28 +365,59 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 
 
 def persist_trace(trace: TrainingTrace, path: str | Path) -> None:
-    """Write one row per (step, term); floats carry 17 significant digits."""
+    """Write one row per (step, term); floats carry 17 significant digits.
+    A non-finite value is rejected, naming its column and step, before the
+    file is opened."""
+    columns = [("target_tc", trace.target), ("raw_estimate", trace.raw)]
+    columns += [("smoothed_estimate", trace.smoothed)]
+    columns += [(f"term_estimate of term {k}", c) for k, c in enumerate(trace.terms.T)]
+    first = None  # (row, name, value) of the first non-finite cell in file order
+    for name, column in columns:
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (bad[0], name, column[bad[0]])
+    if first is not None:
+        row, name, value = first
+        raise ParameterError(f"step {trace.steps[row]}: {name} is not finite: {float(value)!r}")
     _write_csv(path, TRACE_HEADER, _trace_blocks(trace))
 
 
-def _trace_blocks(trace: TrainingTrace) -> Iterator[list[str]]:
-    """The lines of the trace file, _BLOCK_STEPS steps at a time. A block's
-    columns are formatted whole, and each row is joined from its step's cells."""
+def _trace_blocks(trace: TrainingTrace) -> Iterator[str]:
+    """The text of the trace file, _BLOCK_STEPS steps at a time. Each float
+    column of a block is formatted once, and each distinct target once; one
+    ``%`` with a constant template of one line per term lays the cells out."""
+    row = "".join(f"%s,%s,%s,%s,{k},%s\n" for k in range(trace.n_terms))
+    width = 5 * trace.n_terms  # cells per step
     for start in range(0, len(trace.steps), _BLOCK_STEPS):
         block = slice(start, start + _BLOCK_STEPS)
-        steps = trace.steps[block].astype(np.int64).tolist()
-        columns = [_cells(c[block]) for c in (trace.target, trace.raw, trace.smoothed)]
-        terms = [_cells(c) for c in trace.terms[block].T]
-        lines = []
-        for step, target, raw, smoothed, *cells in zip(steps, *columns, *terms):
-            prefix = f"{step},{target},{raw},{smoothed},"
-            lines += [f"{prefix}{k},{cell}" for k, cell in enumerate(cells)]
-        yield lines
+        step_cells = [
+            trace.steps[block].astype(np.int64).tolist(),
+            _distinct_cells(trace.target[block]),
+            _cells(trace.raw[block]),
+            _cells(trace.smoothed[block]),
+        ]
+        n = len(step_cells[0])
+        cells = [None] * (n * width)
+        for k, term in enumerate(trace.terms[block].T):
+            for c, column in enumerate(step_cells):
+                cells[5 * k + c :: width] = column
+            cells[5 * k + 4 :: width] = _cells(term)
+        yield (row * n) % tuple(cells)
 
 
 def _cells(values: np.ndarray) -> list[str]:
-    """Each value with 17 significant digits."""
-    return [format(v, ".17g") for v in values.tolist()]
+    """Each value with 17 significant digits, all formatted by one ``%``."""
+    return (("%.17g " * len(values)) % tuple(values.tolist())).split()
+
+
+def _distinct_cells(values: np.ndarray) -> list[str]:
+    """:func:`_cells` with each distinct value formatted once. Values are told
+    apart by their bits, not by ``==``, so ``0.0`` and ``-0.0`` keep their
+    own spellings."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    spelled = _cells(distinct.view(np.float64))
+    return [spelled[i] for i in index.tolist()]
 
 
 def load_trace(path: str | Path) -> TrainingTrace:
@@ -445,7 +477,14 @@ def metrics_cells(row: MetricsRow, float_format: str = ".17g") -> list[str]:
 
 
 def persist_metrics(rows: list[MetricsRow], path: str | Path) -> None:
-    _write_csv(path, METRICS_HEADER, [[",".join(metrics_cells(r)) for r in rows]])
+    """Write one line per row. A non-finite value is rejected, naming its
+    column and row (counted from 0, as the list indexes it), before the file
+    is opened."""
+    for i, r in enumerate(rows):
+        for name in _METRICS_FLOATS:
+            if not math.isfinite(getattr(r, name)):
+                raise ParameterError(f"row {i}: {name} is not finite: {getattr(r, name)!r}")
+    _write_csv(path, METRICS_HEADER, ["".join(",".join(metrics_cells(r)) + "\n" for r in rows)])
 
 
 def load_metrics(path: str | Path) -> list[MetricsRow]:
@@ -453,14 +492,13 @@ def load_metrics(path: str | Path) -> list[MetricsRow]:
     return [MetricsRow(*row) for row in _read_csv(Path(path), _METRICS_ROW).tolist()]
 
 
-def _write_csv(path: str | Path, header: str, blocks: Iterable[list[str]]) -> None:
-    """The header, then one line per row, as ASCII with a final newline. The
-    lines come in blocks, and each block is written as it comes."""
+def _write_csv(path: str | Path, header: str, blocks: Iterable[str]) -> None:
+    """The header line, then the rows, as ASCII. The rows come in blocks of
+    whole lines, and each block is written as it comes."""
     with open(path, "w", encoding="ascii") as f:
         f.write(header + "\n")
-        for lines in blocks:
-            if lines:
-                f.write("\n".join(lines) + "\n")
+        for text in blocks:
+            f.write(text)
 
 
 def _read_csv(path: Path, columns: tuple) -> np.ndarray:

@@ -88,6 +88,15 @@ def _step_points(steps: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     return np.insert(steps, jumps, steps[jumps]), np.insert(target, jumps, target[jumps - 1])
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The ``points`` attribute of pixel columns: "x,y" pairs with two decimals,
+    one space apart, laid out by one ``%`` over the interleaved columns."""
+    xy = np.empty(2 * len(xs))
+    xy[0::2] = xs
+    xy[1::2] = ys
+    return ((" %.2f,%.2f" * len(xs)) % tuple(xy.tolist()))[1:]
+
+
 class _Frame:
     """Affine data-to-pixel mapping for one panel, of a scalar or a column."""
 
@@ -106,10 +115,9 @@ class _Frame:
         return MARGIN_TOP + self.plot_h - (v - self.y0) / span * self.plot_h
 
     def polyline(self, xs: np.ndarray, ys: np.ndarray, stroke: str, width, opacity=None) -> str:
-        pixels = zip(self.x(xs).tolist(), self.y(ys).tolist())
         return _tag(
             "polyline", fill="none", stroke=stroke, stroke_width=width, stroke_opacity=opacity,
-            points=" ".join(f"{x:.2f},{y:.2f}" for x, y in pixels),
+            points=_points(self.x(xs), self.y(ys)),
         )
 
 

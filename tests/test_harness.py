@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import sys
 import time
 from concurrent.futures import Future
@@ -620,6 +621,61 @@ class TestTracePersistence:
     def test_block_size_is_the_one_the_edge_cases_cover(self):
         assert harness._BLOCK_STEPS == BLOCK_STEPS
 
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            {3: 0.0, 4: -0.0, 5: 0.0, 9: -0.0},  # both in one block
+            {BLOCK_STEPS - 1: 0.0, BLOCK_STEPS: -0.0},  # one each side of a block boundary
+            {BLOCK_STEPS - 1: -0.0, BLOCK_STEPS: 0.0, BLOCK_STEPS + 1: -0.0},
+        ],
+    )
+    def test_signed_zero_targets_keep_their_spelling(self, tmp_path, zeros):
+        # targets are formatted once per distinct value; 0.0 == -0.0, so the
+        # distinct values must be told apart by more than equality
+        trace = special_trace(BLOCK_STEPS + 7, 2, seed=5)
+        trace.target[:] = 2.0
+        for i, zero in zeros.items():
+            trace.target[i] = zero
+        path = tmp_path / "trace.csv"
+        persist_trace(trace, path)
+        assert path.read_bytes() == trace_bytes_per_value(trace)
+        assert [math.copysign(1.0, t) for t in load_trace(path).target[list(zeros)]] == [
+            math.copysign(1.0, z) for z in zeros.values()
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "column, name",
+        [
+            ("target", "target_tc"),
+            ("raw", "raw_estimate"),
+            ("smoothed", "smoothed_estimate"),
+            ("terms", "term_estimate of term 1"),
+        ],
+    )
+    def test_non_finite_value_rejected_before_the_file_is_opened(self, tmp_path, column, name, bad):
+        trace = special_trace(BLOCK_STEPS + 3, 2, seed=1)
+        cells = getattr(trace, column)
+        if column == "terms":
+            cells[BLOCK_STEPS + 1, 1] = bad
+        else:
+            cells[BLOCK_STEPS + 1] = bad
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"an earlier file\n")
+        message = f"step {BLOCK_STEPS + 2}: {name} is not finite: {bad!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            persist_trace(trace, path)
+        assert path.read_bytes() == b"an earlier file\n"
+
+    def test_first_non_finite_value_in_file_order_is_named(self, tmp_path):
+        trace = special_trace(10, 3, seed=2)
+        trace.raw[7] = math.nan
+        trace.terms[4, 2] = math.inf
+        trace.smoothed[4] = -math.inf
+        with pytest.raises(ParameterError, match="step 5: smoothed_estimate is not finite: -inf"):
+            persist_trace(trace, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestMetricsPersistence:
     def rows(self):
@@ -665,6 +721,17 @@ class TestMetricsPersistence:
         path = tmp_path / "metrics.csv"
         persist_metrics(self.rows(), path)
         assert load_metrics(path) == self.rows()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["target_tc", "bias", "variance", "mse"])
+    def test_non_finite_value_rejected_before_the_file_is_opened(self, tmp_path, name, bad):
+        rows = self.rows()
+        rows[1] = dataclasses.replace(rows[1], **{name: bad})
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"an earlier file\n")
+        with pytest.raises(ParameterError, match=re.escape(f"row 1: {name} is not finite: {bad!r}")):
+            persist_metrics(rows, path)
+        assert path.read_bytes() == b"an earlier file\n"
 
     def test_row_fields_are_the_columns(self):
         assert [f.name for f in dataclasses.fields(MetricsRow)] == METRICS_HEADER.split(",")

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import totalcorr
+from totalcorr import svgplot
 from totalcorr.errors import ParameterError
 from totalcorr.harness import TrainingTrace, persist_trace, smooth
-from totalcorr.svgplot import _nice_ticks, _step_points, render_traces
+from totalcorr.svgplot import _nice_ticks, _points, _step_points, render_traces
 
 GOLDEN_SVG = Path(__file__).parent / "data" / "golden_plot.svg"
 
@@ -56,6 +59,66 @@ def golden_traces():
         terms=b_raw[:, None].copy(),
     )
     return [("MINE/TREE", a), ('a & <b> "c"', b)]
+
+
+def points_per_point(xs, ys):
+    """The points attribute as one f-string per point, joined: the oracle
+    whose bytes _points must reproduce."""
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+
+
+def default_length_traces():
+    """8 traces of the default protocol's 20,000 steps: targets 2 to 10 in
+    steps of 4000, three noisy terms each."""
+    rng = np.random.default_rng(11)
+    target = np.repeat([2.0, 4.0, 6.0, 8.0, 10.0], 4000)
+    traces = []
+    for i in range(8):
+        terms = target[:, None] / 3 + rng.normal(0.0, 0.5, (len(target), 3))
+        raw = terms.sum(axis=1)
+        trace = TrainingTrace(
+            steps=np.arange(1, len(target) + 1),
+            target=target,
+            raw=raw,
+            smoothed=smooth(raw, 200),
+            terms=terms,
+        )
+        traces.append((f"trace {i}", trace))
+    return traces
+
+
+# pixels at a two-decimal tie that is exact in binary, and so rounds to even,
+# or (0.005) just above one; negative ones and signed zeros included
+HALVES = [0.125, 0.375, 0.625, 2.5, -0.125, -0.375, -3.625, 0.005, -0.0, 0.0]
+
+
+class TestPoints:
+    def test_default_length_figure_matches_the_per_point_writer(self, monkeypatch):
+        traces = default_length_traces()
+        svg = render_traces(traces)
+        monkeypatch.setattr(svgplot, "_points", points_per_point)
+        assert svg == render_traces(traces)
+        assert svg.count("<polyline") == 17  # 8 x (raw + smoothed) + 1 shared truth
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(HALVES), st.floats(allow_nan=False, allow_infinity=False)),
+                st.one_of(st.sampled_from(HALVES), st.floats(-1e4, 1e4)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_bytes_match_the_per_point_fstrings(self, pixels):
+        xs = np.array([x for x, _ in pixels], dtype=np.float64)
+        ys = np.array([y for _, y in pixels], dtype=np.float64)
+        assert _points(xs, ys) == points_per_point(xs, ys)
+
+    def test_label_with_percent_signs_is_drawn_verbatim(self):
+        trace = trace_from([0.1, 0.4, 0.8], [2.0, 2.0, 2.0])
+        label = "100% of %s and %%, %(x)s %d"
+        svg = render_traces([(label, trace)])
+        assert f">{label}</text>" in svg
 
 
 class TestStepPoints:
