@@ -8,6 +8,7 @@ line path peels one variable at a time: TC(X) = sum_i I(X_{1:i}; x_{i+1}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,7 +23,7 @@ from .estimators import (
     train_step,
 )
 from .gaussian import GaussianModel, IndexSet, mi_closed_form
-from .nn import DEFAULT_HIDDEN, DEFAULT_LR
+from .nn import DEFAULT_HIDDEN, DEFAULT_LR, AdamState, adam_step, pack_parameters
 
 
 class PathKind(Enum):
@@ -98,14 +99,24 @@ def closed_form_plan_sum(model: GaussianModel, plan: DecompositionPlan) -> float
 
 @dataclass
 class TcEstimator:
-    """Per-term trainable MI estimators wired to the columns of a sample batch."""
+    """Per-term MI estimators wired to the columns of a sample batch, and
+    the one optimizer that trains them together.
+
+    The estimator owns the vectors: ``theta`` holds every term's parameters,
+    term by term, and each term's ``net.theta`` and ``net.grad`` are slices
+    of ``theta`` and ``grad``. One Adam step per batch, with the state
+    ``adam``, updates all terms at once.
+    """
 
     plan: DecompositionPlan
     kind: MiEstimatorKind
     terms: list[MiTermEstimator]
-    left_cols: list[np.ndarray] = field(repr=False, default_factory=list)
-    right_cols: list[np.ndarray] = field(repr=False, default_factory=list)
-    width: int = 0
+    theta: np.ndarray = field(repr=False)
+    grad: np.ndarray = field(repr=False)
+    adam: AdamState = field(repr=False)
+    left_cols: list[np.ndarray] = field(repr=False)
+    right_cols: list[np.ndarray] = field(repr=False)
+    width: int
 
     @property
     def n_terms(self) -> int:
@@ -120,11 +131,14 @@ def make_tc_estimator(
     hidden: int = DEFAULT_HIDDEN,
     lr: float = DEFAULT_LR,
 ) -> TcEstimator:
-    """One independent estimator per MI term, initialized from ``seed``.
+    """One independent estimator per MI term, initialized from ``seed``, and
+    one Adam state at learning rate ``lr`` over all their parameters.
 
     ``dims`` gives the width of each variable's block in a batch (all scalar
     by default); term estimators see the concatenation of their blocks.
     """
+    if not (math.isfinite(lr) and lr > 0):
+        raise ParameterError(f"lr must be positive and finite, got {lr}")
     dims = [1] * plan.n if dims is None else list(dims)
     if len(dims) != plan.n:
         raise ParameterError(f"dims must have length {plan.n}, got {len(dims)}")
@@ -138,16 +152,24 @@ def make_tc_estimator(
         )
 
     rng = np.random.default_rng(seed)
-    est = TcEstimator(plan=plan, kind=kind, terms=[], width=int(offsets[-1]))
-    for term in plan.terms:
-        lcols = columns(term.left)
-        rcols = columns(term.right)
-        est.terms.append(
-            create_term_estimator(kind, len(lcols), len(rcols), rng, hidden, lr)
-        )
-        est.left_cols.append(lcols)
-        est.right_cols.append(rcols)
-    return est
+    left_cols = [columns(term.left) for term in plan.terms]
+    right_cols = [columns(term.right) for term in plan.terms]
+    terms = [
+        create_term_estimator(kind, len(lcols), len(rcols), rng, hidden)
+        for lcols, rcols in zip(left_cols, right_cols)
+    ]
+    theta, grad = pack_parameters([t.net for t in terms])
+    return TcEstimator(
+        plan=plan,
+        kind=kind,
+        terms=terms,
+        theta=theta,
+        grad=grad,
+        adam=AdamState.for_params(theta, lr=lr),
+        left_cols=left_cols,
+        right_cols=right_cols,
+        width=int(offsets[-1]),
+    )
 
 
 def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.ndarray]:
@@ -171,8 +193,41 @@ def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.
 
 
 def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Train every term once on the batch; returns (sum, per-term values)."""
-    return _each_term(est, batch, train_step)
+    """Train every term once on the batch; returns (sum, per-term values).
+
+    Each term writes its gradient into its slice of ``est.grad``, then one
+    Adam step moves ``est.theta``. The step is all or nothing: if a term's
+    loss or any gradient is not finite, no parameter, moment, step count or
+    MINE moving average changes, and the TrainingError names the estimator,
+    the step and the first failing term in term order (a term's loss comes
+    before its gradient).
+    """
+    step = est.adam.step_count + 1
+    emas = [t.ema_denominator for t in est.terms]
+    try:
+        result = _each_term(est, batch, train_step)
+        adam_step(est.theta, est.grad, est.adam)
+    except TrainingError as exc:
+        for term_est, ema in zip(est.terms, emas):
+            term_est.ema_denominator = ema
+        _first_failure(est, exc)
+        exc.kind, exc.step = est.kind.value, step
+        raise
+    return result
+
+
+def _first_failure(est: TcEstimator, exc: TrainingError) -> None:
+    """Make ``exc`` name the first term in term order that failed.
+
+    A term's gradient is checked after its loss, so a non-finite gradient
+    in a term before the one whose loss raised comes first; when Adam's
+    check over the whole vector raised, every term is looked at.
+    """
+    failed = est.n_terms if exc.term is None else exc.term
+    for k in range(failed):
+        if not np.isfinite(est.terms[k].net.grad).all():
+            exc.args, exc.term = ("non-finite gradient",), k
+            return
 
 
 def tc_evaluate(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:

@@ -18,14 +18,11 @@ import numpy as np
 
 from .errors import ParameterError, TrainingError
 from .nn import (
-    AdamState,
     CondGaussianCache,
     CondGaussianHead,
     DEFAULT_HIDDEN,
-    DEFAULT_LR,
     Mlp,
     MlpCache,
-    adam_step,
     cond_gaussian_forward,
     cond_gaussian_logpdf,
     cond_gaussian_logpdf_backward,
@@ -45,19 +42,19 @@ class MiEstimatorKind(Enum):
 
 @dataclass
 class MiTermEstimator:
-    """One trainable MI estimator: its network plus optimizer.
+    """One MI term's estimator: its network and MINE's moving average.
 
     ``net`` is the scalar critic of MINE, NWJ and InfoNCE or CLUB's
-    conditional Gaussian head. The network owns the vectors: every parameter
-    array of it is a view into ``net.theta``, the one vector that Adam
-    updates, and backward fills ``net.grad``, laid out the same.
+    conditional Gaussian head. Every parameter array of it is a view into
+    ``net.theta``, and backward fills ``net.grad``, laid out the same. The
+    term has no optimizer of its own: in a ``TcEstimator`` both vectors are
+    slices of the estimator's, which one Adam step updates for all terms.
     """
 
     kind: MiEstimatorKind
     u_dim: int
     v_dim: int
     net: Mlp | CondGaussianHead
-    adam: AdamState
     ema_denominator: float = 1.0
 
 
@@ -67,7 +64,6 @@ def create_term_estimator(
     v_dim: int,
     rng: np.random.Generator,
     hidden: int = DEFAULT_HIDDEN,
-    lr: float = DEFAULT_LR,
 ) -> MiTermEstimator:
     if min(u_dim, v_dim) < 1:
         raise ParameterError("u_dim and v_dim must be positive")
@@ -75,7 +71,7 @@ def create_term_estimator(
         net = CondGaussianHead.initialize(u_dim, v_dim, hidden, rng)
     else:
         net = Mlp.initialize(u_dim + v_dim, hidden, 1, rng)
-    return MiTermEstimator(kind, u_dim, v_dim, net, AdamState.for_params(net.theta, lr=lr))
+    return MiTermEstimator(kind, u_dim, v_dim, net)
 
 
 def _check_pair_batch(u: np.ndarray, v: np.ndarray) -> int:
@@ -119,6 +115,10 @@ def _offdiag(n: int) -> np.ndarray:
 # moving average: (scores, ema) -> (value, loss, d loss / d scores, new ema).
 # NWJ and InfoNCE return the moving average unchanged. With value_only=True
 # the function returns the value alone, the same float, and skips the rest.
+# The bounds reduce with the ufuncs themselves (np.add.reduce(x) / x.size,
+# .diagonal(), np.minimum(np.maximum(...))): the same reductions in the same
+# order as np.mean, np.diag, np.sum and np.clip, so the same bits, without
+# those wrappers' Python-level cost on every step.
 
 
 def mine_bound(
@@ -131,10 +131,11 @@ def mine_bound(
     (decay 0.99); its gradient treats the moving average as a constant. A
     moving average below MINE_EMA_FLOOR or infinite raises TrainingError.
     """
-    vals = scores[_offdiag(scores.shape[0])]
-    shift = np.max(vals)
-    logmeanexp = float(shift + np.log(np.mean(np.exp(vals - shift))))
-    value = float(np.mean(np.diag(scores))) - logmeanexp
+    n = scores.shape[0]
+    vals = scores[_offdiag(n)]
+    shift = np.maximum.reduce(vals)
+    logmeanexp = float(shift + np.log(np.add.reduce(np.exp(vals - shift)) / vals.size))
+    value = float(np.add.reduce(scores.diagonal()) / n) - logmeanexp
     if value_only:
         return value
     try:
@@ -159,7 +160,9 @@ def _mine_surrogate(
     n = scores.shape[0]
     log_ema = math.log(ema_denominator)
     scaled = np.exp(scores - log_ema) * _offdiag(n)
-    loss = -float(np.mean(np.diag(scores))) + float(np.sum(scaled)) / (n * (n - 1))
+    loss = -float(np.add.reduce(scores.diagonal()) / n) + float(
+        np.add.reduce(scaled, axis=None)
+    ) / (n * (n - 1))
     grad = scaled / (n * (n - 1))
     np.fill_diagonal(grad, -1.0 / n)
     return loss, grad
@@ -171,7 +174,8 @@ def nwj_bound(
     """f-divergence form: mean joint score minus mean marginal e^(score-1)."""
     n = scores.shape[0]
     marg = np.exp(scores - 1.0)
-    value = float(np.mean(np.diag(scores))) - float(np.mean(marg[_offdiag(n)]))
+    off = marg[_offdiag(n)]
+    value = float(np.add.reduce(scores.diagonal()) / n) - float(np.add.reduce(off) / off.size)
     if value_only:
         return value
     grad = marg / (n * (n - 1))
@@ -184,11 +188,11 @@ def infonce_bound(
 ) -> tuple[float, float, np.ndarray, float] | float:
     """Contrastive form; bounded above by log N for any score matrix."""
     n = scores.shape[0]
-    shift = scores.max(axis=1, keepdims=True)
+    shift = np.maximum.reduce(scores, axis=1, keepdims=True)
     expd = np.exp(scores - shift)
-    rowsum = expd.sum(axis=1)
+    rowsum = np.add.reduce(expd, axis=1)
     logsumexp = shift[:, 0] + np.log(rowsum)
-    value = float(np.mean(np.diag(scores) - logsumexp)) + math.log(n)
+    value = float(np.add.reduce(scores.diagonal() - logsumexp) / n) + math.log(n)
     if value_only:
         return value
     grad = expd / rowsum[:, None]
@@ -216,7 +220,8 @@ def club_bound(
     _check_pair_batch(u, v)
     cache = cond_gaussian_forward(head, u, v)
     logq = cond_gaussian_logpdf_matrix(cache)
-    value = float(np.mean(np.diag(logq)) - np.mean(logq))
+    n = logq.shape[0]
+    value = float(np.add.reduce(logq.diagonal()) / n - np.add.reduce(logq, axis=None) / logq.size)
     if value_only:
         return value
     return value, _club_nll(head, cache)
@@ -227,7 +232,7 @@ def _club_nll(head: CondGaussianHead, cache: CondGaussianCache) -> float:
     logpdf = cond_gaussian_logpdf(cache)
     n = logpdf.shape[0]
     cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
-    return -float(np.mean(logpdf))
+    return -float(np.add.reduce(logpdf) / n)
 
 
 def _bound(
@@ -262,19 +267,21 @@ def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
-    """One optimizer step on a joint batch; returns the step's bound value.
+    """The term's share of one training step on a joint batch: its bound
+    value, returned, and its loss's gradient, written into ``est.net.grad``.
 
     Lower bounds ascend their own value (MINE through the EMA-corrected
-    objective); CLUB descends the conditional NLL while the returned value is
-    the upper bound itself.
+    objective, whose moving average advances here); CLUB descends the
+    conditional NLL while the returned value is the upper bound itself. No
+    parameter moves: the caller applies the optimizer, as ``tc_train_step``
+    does once for all terms. A non-finite loss raises TrainingError, tagged
+    with the estimator kind.
     """
-    step = est.adam.step_count + 1
     try:
         value, loss = _bound(est, u, v, value_only=False)
         if not math.isfinite(loss):
             raise TrainingError("non-finite loss")
-        adam_step(est.net.theta, est.net.grad, est.adam)
     except TrainingError as exc:
-        exc.kind, exc.step = est.kind.value, step
+        exc.kind = est.kind.value
         raise
     return value

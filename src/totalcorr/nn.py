@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -195,6 +195,13 @@ class CondGaussianHead:
         self.logvar_net = logvar_net
         self.theta, self.grad = pack_parameters((mu_net, logvar_net))
 
+    def _bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Make both heads' vectors views of ``theta`` and ``grad``, mean head first."""
+        cut = self.mu_net.theta.size
+        self.mu_net._bind(theta[:cut], grad[:cut])
+        self.logvar_net._bind(theta[cut:], grad[cut:])
+        self.theta, self.grad = theta, grad
+
     @classmethod
     def initialize(
         cls,
@@ -235,7 +242,7 @@ def cond_gaussian_forward(
         raise ParameterError(f"v must have width {head.v_dim}, got {v.shape[1]}")
     mu, mu_cache = head.mu_net.forward(u)
     logvar_raw, logvar_cache = head.logvar_net.forward(u)
-    logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
+    logvar = np.minimum(np.maximum(logvar_raw, LOGVAR_MIN), LOGVAR_MAX)
     inv_var = np.exp(-logvar)
     return CondGaussianCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v)
 
@@ -278,16 +285,19 @@ def cond_gaussian_logpdf_matrix(cache: CondGaussianCache) -> np.ndarray:
     expanding the squared residual; no network runs again.
     """
     mu, inv_var, v = cache.mu, cache.inv_var, cache.v
-    const = np.sum(-0.5 * _LOG_2PI - 0.5 * cache.logvar - 0.5 * mu * mu * inv_var, axis=1)
+    const = np.add.reduce(-0.5 * _LOG_2PI - 0.5 * cache.logvar - 0.5 * mu * mu * inv_var, axis=1)
     cross = (mu * inv_var) @ v.T
     quad = (0.5 * inv_var) @ (v * v).T
     return const[:, None] + cross - quad
 
 
-def pack_parameters(nets: tuple[Mlp, ...]) -> tuple[np.ndarray, np.ndarray]:
+def pack_parameters(
+    nets: Sequence[Mlp | CondGaussianHead],
+) -> tuple[np.ndarray, np.ndarray]:
     """Copy the nets' parameters, net by net, into one ``theta`` and rebind
-    every net's parameter and gradient views into it and a ``grad`` beside it."""
-    theta = np.concatenate([net.theta for net in nets])
+    every net's parameter and gradient views into it and a ``grad`` beside it.
+    A net may be an :class:`Mlp` or a :class:`CondGaussianHead`."""
+    theta = np.concatenate([net.theta for net in nets]) if nets else np.empty(0)
     grad = np.zeros_like(theta)
     offset = 0
     for net in nets:
@@ -313,13 +323,22 @@ class AdamState:
 
 def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to ``theta`` in place:
-    theta -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)."""
-    state.step_count += 1
-    t = state.step_count
+    theta -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
+
+    Shapes and the gradient's finiteness are checked before anything moves:
+    on either error ``theta``, the moments and ``step_count`` keep their values.
+    """
     if g.shape != theta.shape:
         raise ParameterError(f"gradient shape {g.shape} does not match parameters {theta.shape}")
+    if state.m.shape != theta.shape or state.v.shape != theta.shape:
+        raise ParameterError(
+            f"Adam state shapes {state.m.shape} and {state.v.shape} "
+            f"do not match parameters {theta.shape}"
+        )
     if not np.isfinite(g).all():
-        raise TrainingError("non-finite gradient", step=t)
+        raise TrainingError("non-finite gradient", step=state.step_count + 1)
+    state.step_count += 1
+    t = state.step_count
     state.m *= ADAM_BETA1
     state.m += g * (1.0 - ADAM_BETA1)
     state.v *= ADAM_BETA2

@@ -24,6 +24,7 @@ from totalcorr.decomposition import (
 from totalcorr.errors import TrainingError
 from totalcorr.estimators import MiEstimatorKind
 from totalcorr.gaussian import sample
+from totalcorr.nn import Mlp
 
 
 def plan_as_tuples(plan: DecompositionPlan):
@@ -162,6 +163,11 @@ class TestMakeTcEstimator:
         with pytest.raises(ParameterError):
             make_tc_estimator(plan, MiEstimatorKind.MINE, seed=0, dims=[1, 1])
 
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ParameterError, match=f"lr must be positive and finite, got {lr}"):
+            make_tc_estimator(build_plan(3, PathKind.LINE), MiEstimatorKind.MINE, seed=0, lr=lr)
+
 
 class TestTcTraining:
     def test_single_variable_is_a_noop(self):
@@ -234,3 +240,89 @@ class TestTcTraining:
         # pool workers send it to the parent pickled
         copy = pickle.loads(pickle.dumps(exc))
         assert (copy.kind, copy.term, copy.step, str(copy)) == ("NWJ", 1, 1, str(exc))
+
+
+def _state(est):
+    return (
+        est.theta.tobytes(),
+        est.adam.m.tobytes(),
+        est.adam.v.tobytes(),
+        est.adam.step_count,
+        [t.ema_denominator for t in est.terms],
+        [t.net.theta.tobytes() for t in est.terms],
+    )
+
+
+def _trained(kind, steps=3):
+    est = make_tc_estimator(build_plan(4, PathKind.TREE), kind, seed=4)
+    rng = np.random.default_rng(6)
+    model = equicorrelated_sigma(4, 0.5)
+    for _ in range(steps):
+        tc_train_step(est, sample(model, 8, rng))
+    return est, sample(model, 8, rng)
+
+
+class TestAllOrNothingStep:
+    # a step that fails in term k moves nothing: no term's parameters, no
+    # Adam moment, not the step count and no MINE moving average
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_non_finite_loss_in_term_k(self, k):
+        est, batch = _trained(MiEstimatorKind.NWJ)
+        est.terms[k].net.b2[...] = 1e6  # e^(score-1) overflows to inf
+        before = _state(est)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as info:
+            tc_train_step(est, batch)
+        assert str(info.value) == f"non-finite loss [estimator=NWJ, term={k}, step=4]"
+        assert _state(est) == before
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_non_finite_gradient_in_term_k(self, kind, k, monkeypatch):
+        est, batch = _trained(kind)
+        net = est.terms[k].net
+        poisoned = {net.logvar_net if kind is MiEstimatorKind.CLUB else net}
+        backward = Mlp.backward
+
+        def nan_backward(self, cache, dout):
+            backward(self, cache, dout)
+            if self in poisoned:
+                self.grad[0] = math.nan
+
+        monkeypatch.setattr(Mlp, "backward", nan_backward)
+        before = _state(est)
+        with pytest.raises(TrainingError) as info:
+            tc_train_step(est, batch)
+        assert str(info.value) == f"non-finite gradient [estimator={kind.value}, term={k}, step=4]"
+        assert _state(est) == before
+
+    def test_first_failure_in_term_order_is_named(self, monkeypatch):
+        # term 0's gradient fails before term 2's loss, as the terms run
+        est, batch = _trained(MiEstimatorKind.NWJ)
+        est.terms[2].net.b2[...] = 1e6
+        backward = Mlp.backward
+
+        def nan_backward(self, cache, dout):
+            backward(self, cache, dout)
+            if self is est.terms[0].net:
+                self.grad[0] = math.inf
+
+        monkeypatch.setattr(Mlp, "backward", nan_backward)
+        before = _state(est)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as info:
+            tc_train_step(est, batch)
+        assert str(info.value) == "non-finite gradient [estimator=NWJ, term=0, step=4]"
+        assert _state(est) == before
+
+    def test_training_goes_on_after_a_failed_step(self):
+        # the failed step leaves the estimator as a clean one with the same
+        # history, so the next good step matches it byte for byte
+        est, batch = _trained(MiEstimatorKind.MINE)
+        clean, _ = _trained(MiEstimatorKind.MINE)
+        saved = est.terms[1].net.b2.copy()
+        est.terms[1].net.b2[...] = math.nan
+        with pytest.raises(TrainingError):
+            tc_train_step(est, batch)
+        est.terms[1].net.b2[...] = saved
+        assert tc_train_step(est, batch)[1].tobytes() == tc_train_step(clean, batch)[1].tobytes()
+        assert _state(est) == _state(clean)

@@ -21,8 +21,9 @@ from totalcorr.estimators import (
     train_step,
     _mine_surrogate,
 )
+from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator, tc_train_step
 from totalcorr.gaussian import equicorrelated_sigma, sample
-from totalcorr.nn import CondGaussianHead, Mlp
+from totalcorr.nn import AdamState, CondGaussianHead, Mlp, adam_step
 
 TRUE_MI_RHO09 = -0.5 * math.log(1.0 - 0.81)
 
@@ -56,10 +57,12 @@ def train_on_gaussian(kind, rho=0.9, steps=4000, seed=1234, dim=2):
     model = equicorrelated_sigma(dim, rho)
     rng = np.random.default_rng(seed)
     est = create_term_estimator(kind, 1, 1, rng)
+    adam = AdamState.for_params(est.net.theta)
     values = []
     for _ in range(steps):
         batch = sample(model, 64, rng)
         values.append(train_step(est, batch[:, :1], batch[:, 1:]))
+        adam_step(est.net.theta, est.net.grad, adam)
     return est, values
 
 
@@ -148,14 +151,15 @@ class TestMineValue:
         ],
     )
     def test_failed_step_names_estimator_and_step(self, b2, ema, message):
-        est = create_term_estimator(MiEstimatorKind.MINE, 1, 1, np.random.default_rng(0))
+        # a one-term TcEstimator: the step count belongs to its optimizer
+        tc_est = make_tc_estimator(build_plan(2, PathKind.LINE), MiEstimatorKind.MINE, seed=0)
+        est = tc_est.terms[0]
         est.net.theta[:] = 0.0
         est.net.b2[...] = b2
         est.ema_denominator = ema
-        u = v = np.zeros((4, 1))
         with pytest.raises(TrainingError) as info:
-            train_step(est, u, v)
-        assert str(info.value) == f"{message} [estimator=MINE, step=1]"
+            tc_train_step(tc_est, np.zeros((4, 2)))
+        assert str(info.value) == f"{message} [estimator=MINE, term=0, step=1]"
 
     def test_trained_value_on_correlated_gaussian(self):
         # lower bound of MI = 0.830; Adam at lr 1e-4 reaches about 60% of it
@@ -260,11 +264,13 @@ class TestClubValue:
         model = equicorrelated_sigma(2, 0.9)
         rng = np.random.default_rng(10)
         est = create_term_estimator(MiEstimatorKind.CLUB, 1, 1, rng)
+        adam = AdamState.for_params(est.net.theta)
         losses = []
         for _ in range(2000):
             batch = sample(model, 64, rng)
             losses.append(club_bound(est.net, batch[:, :1], batch[:, 1:])[1])
             train_step(est, batch[:, :1], batch[:, 1:])
+            adam_step(est.net.theta, est.net.grad, adam)
         block = [float(np.mean(losses[i : i + 200])) for i in range(0, 2000, 200)]
         # strictly decreasing until the noise floor (~0.80 nats) is reached,
         # then flat to within a few millinats; frozen from a seeded run
@@ -335,6 +341,7 @@ class TestTrainStep:
         assert all(np.shares_memory(g, grad) for g in grads)
         before = theta.copy()
         train_step(est, rng.standard_normal((16, 2)), rng.standard_normal((16, 1)))
+        adam_step(theta, grad, AdamState.for_params(theta))
         assert not np.array_equal(theta, before)
         # theta holds each net as [w1 | b1] row by row, then w2 and b2, and
         # grad holds the gradient views in the same places
@@ -373,7 +380,7 @@ class TestTrainStep:
         for step in (evaluate, train_step):
             with pytest.raises(ParameterError, match=message):
                 step(est, u, v)
-        assert est.adam.step_count == 0 and np.array_equal(est.net.theta, before)
+        assert not est.net.grad.any() and np.array_equal(est.net.theta, before)
 
     @pytest.mark.parametrize("kind", list(MiEstimatorKind))
     def test_evaluate_rejects_a_split_as_train_step_does(self, kind):

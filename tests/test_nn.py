@@ -344,13 +344,26 @@ class TestAdam:
         theta = np.array([1.0, 2.0])
         state = AdamState.for_params(theta)
         adam_step(theta, np.array([0.5, 0.5]), state)
+        before = (theta.copy(), state.m.copy(), state.v.copy())
         with pytest.raises(TrainingError, match="step=2"):
             adam_step(theta, np.array([0.5, math.nan]), state)
+        # nothing moved, and the count is the one before the failed step
+        assert state.step_count == 1
+        assert all(np.array_equal(a, b) for a, b in zip((theta, state.m, state.v), before))
 
     def test_gradient_shape_mismatch_rejected(self):
         theta = np.zeros(3)
         with pytest.raises(ParameterError):
             adam_step(theta, np.zeros(2), AdamState.for_params(theta))
+
+    def test_state_of_another_length_rejected_before_any_change(self):
+        theta = np.array([1.0, 2.0, 3.0])
+        state = AdamState.for_params(np.zeros(5))
+        state.m[:], state.v[:] = 0.5, 0.25
+        with pytest.raises(ParameterError, match=r"\(5,\) and \(5,\) do not match parameters \(3,\)"):
+            adam_step(theta, np.ones(3), state)
+        assert np.array_equal(theta, [1.0, 2.0, 3.0]) and state.step_count == 0
+        assert np.array_equal(state.m, np.full(5, 0.5)) and np.array_equal(state.v, np.full(5, 0.25))
 
     def test_determinism(self):
         def run():

@@ -67,9 +67,15 @@ def test_training_step_reaches_the_model_layers(tracer_module, kind):
     try:
         decomposition.tc_train_step(est, batch)
         decomposition.tc_evaluate(est, batch)
+        decomposition.tc_train_step(est, batch)
     finally:
         tracer.restore()
     names = {span[0] for span in tracer.spans}
+    # one Adam step per TC training step, called by it for all its terms
+    steps = [i for i, span in enumerate(tracer.spans) if span[0] == "decomposition.tc_train_step"]
+    adam = [span for span in tracer.spans if span[0] == "nn.adam_step"]
+    assert len(steps) == 2 and [span[4] for span in adam] == steps
+    assert all(span[1] == kind.value for span in adam)
     assert {"decomposition.tc_train_step", "decomposition.tc_evaluate", "estimators.train_step",
             "estimators.evaluate", "nn.adam_step", "nn.Mlp.forward", "nn.Mlp.backward"} <= names
     if kind is MiEstimatorKind.CLUB:
