@@ -17,6 +17,7 @@ from .errors import (
 from .gaussian import (
     GaussianModel,
     IndexSet,
+    club_closed_form,
     equicorrelated_sigma,
     gaussian_model,
     mc_tc_oracle,
@@ -72,6 +73,7 @@ __all__ = [
     "TrainingError",
     "GaussianModel",
     "IndexSet",
+    "club_closed_form",
     "equicorrelated_sigma",
     "gaussian_model",
     "mc_tc_oracle",

@@ -171,11 +171,7 @@ def _logdet_submatrix(sigma: np.ndarray, positions: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def mi_closed_form(model: GaussianModel, left: IndexSet, right: IndexSet) -> float:
-    """Gaussian mutual information between two disjoint variable blocks.
-
-    0.5 * [log det(sigma_LL) + log det(sigma_RR) - log det(sigma_{L u R})].
-    """
+def _check_blocks(model: GaussianModel, left: IndexSet, right: IndexSet) -> None:
     if len(left) == 0 or len(right) == 0:
         raise ParameterError("both index sets must be non-empty")
     if left.overlaps(right):
@@ -184,11 +180,38 @@ def mi_closed_form(model: GaussianModel, left: IndexSet, right: IndexSet) -> flo
         raise ParameterError(
             f"index out of range for dim={model.dim}: {left.indices} | {right.indices}"
         )
+
+
+def mi_closed_form(model: GaussianModel, left: IndexSet, right: IndexSet) -> float:
+    """Gaussian mutual information between two disjoint variable blocks.
+
+    0.5 * [log det(sigma_LL) + log det(sigma_RR) - log det(sigma_{L u R})].
+    """
+    _check_blocks(model, left, right)
     both = left.union(right)
     ld_left = _logdet_submatrix(model.sigma, left.positions())
     ld_right = _logdet_submatrix(model.sigma, right.positions())
     ld_both = _logdet_submatrix(model.sigma, both.positions())
     return 0.5 * (ld_left + ld_right - ld_both)
+
+
+def club_closed_form(model: GaussianModel, left: IndexSet, right: IndexSet) -> float:
+    """CLUB's value at its fixed point, with u the ``left`` block, v the
+    ``right`` one and q(v | u) a Gaussian with diagonal covariance.
+
+    The best such q is N(B u, diag C), with B = sigma_vu sigma_uu^-1 and
+    C = sigma_vv - B sigma_uv. E_joint log q - E_indep log q is then
+    0.5 * sum_k [(sigma_vv + B sigma_uu B^T)_kk / C_kk - 1], which for a
+    scalar v is e^(2 MI) - 1. A batch of N expects (N - 1) / N of it, since
+    the all-pairs mean includes the N joint pairs.
+    """
+    _check_blocks(model, left, right)
+    u, v = left.positions(), right.positions()
+    sigma_uv = model.sigma[np.ix_(u, v)]
+    # B sigma_uu B^T = sigma_vu sigma_uu^-1 sigma_uv
+    explained = np.diag(sigma_uv.T @ np.linalg.solve(model.sigma[np.ix_(u, u)], sigma_uv))
+    var_v = np.diag(model.sigma[np.ix_(v, v)])
+    return float(0.5 * np.sum((var_v + explained) / (var_v - explained) - 1.0))
 
 
 def submodel(model: GaussianModel, subset: IndexSet) -> GaussianModel:

@@ -10,6 +10,8 @@ across runs.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +38,24 @@ PALETTE = [
 ]
 
 
+def _surrogate_escape(match: re.Match) -> str:
+    code = ord(match[0])
+    return f"\\x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else f"\\u{code:04x}"
+
+
 def _escape(text: str) -> str:
-    return (
+    """``text`` as SVG character data: the XML specials as entities, and each
+    lone surrogate as a backslash escape, so a file name's undecodable byte
+    0xff reads ``\\xff``."""
+    # UTF-8 encodes no lone surrogate; surrogateescape reads a byte 0x80-0xff
+    # that is not UTF-8, as in a file name, as U+DC80-U+DCFF
+    return re.sub(
+        "[\ud800-\udfff]",
+        _surrogate_escape,
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
-        .replace('"', "&quot;")
+        .replace('"', "&quot;"),
     )
 
 
@@ -121,72 +135,90 @@ class _Frame:
         )
 
 
-def render_traces(traces: list[tuple[str, TrainingTrace]]) -> str:
-    """Render labelled traces into one overlaid SVG panel. A trace with a
-    non-finite value, or values wider apart than a float holds, is rejected."""
+def _frame(traces: list[tuple[str, TrainingTrace]]) -> _Frame:
+    """The panel's mapping, spanning every value of every trace. A trace with a
+    non-finite value, or values wider apart than a float holds, is rejected
+    here, before any of the document is made."""
     nonempty = [(label, t) for label, t in traces if len(t.steps)]
-    frame = _Frame((0.0, 1.0), (0.0, 1.0))
-    if nonempty:
-        for label, t in nonempty:
-            for name in ("raw", "smoothed", "target"):
-                if not np.isfinite(getattr(t, name)).all():
-                    raise ParameterError(f"trace {label!r}: {name} holds a non-finite value")
-        x_hi = max(float(t.steps[-1]) for _, t in nonempty)
-        # Python floats: an overflow gives inf here, with no numpy warning
-        lo = min(float(min(t.raw.min(), t.smoothed.min(), t.target.min())) for _, t in nonempty)
-        hi = max(float(max(t.raw.max(), t.smoothed.max(), t.target.max())) for _, t in nonempty)
-        pad = 0.05 * (hi - lo or 1.0)
-        if not math.isfinite((hi + pad) - (lo - pad)):
-            raise ParameterError(f"trace values from {lo!r} to {hi!r} span more than a float holds")
-        frame = _Frame((0.0, x_hi), (lo - pad, hi + pad))
+    if not nonempty:
+        return _Frame((0.0, 1.0), (0.0, 1.0))
+    for label, t in nonempty:
+        for name in ("raw", "smoothed", "target"):
+            if not np.isfinite(getattr(t, name)).all():
+                raise ParameterError(f"trace {label!r}: {name} holds a non-finite value")
+    x_hi = max(float(t.steps[-1]) for _, t in nonempty)
+    # Python floats: an overflow gives inf here, with no numpy warning
+    lo = min(float(min(t.raw.min(), t.smoothed.min(), t.target.min())) for _, t in nonempty)
+    hi = max(float(max(t.raw.max(), t.smoothed.max(), t.target.max())) for _, t in nonempty)
+    pad = 0.05 * (hi - lo or 1.0)
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise ParameterError(f"trace values from {lo!r} to {hi!r} span more than a float holds")
+    return _Frame((0.0, x_hi), (lo - pad, hi + pad))
 
-    parts = [
+
+def _elements(traces: list[tuple[str, TrainingTrace]], frame: _Frame) -> Iterator[str]:
+    """The document's elements in order, each made only when it is asked for."""
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        _tag("rect", width="100%", height="100%", fill="#ffffff"),
-    ]
-
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
+    )
+    yield _tag("rect", width="100%", height="100%", fill="#ffffff")
     plot_right = WIDTH - MARGIN_RIGHT
     plot_bottom = HEIGHT - MARGIN_BOTTOM
     for tick in _nice_ticks(frame.y0, frame.y1):
         y = frame.y(tick)
-        parts.append(_line(MARGIN_LEFT, f"{y:.2f}", plot_right, f"{y:.2f}", "#e0e0e0", 1))
-        parts.append(_text(MARGIN_LEFT - 8, f"{y + 4:.2f}", f"{tick:g}", anchor="end"))
+        yield _line(MARGIN_LEFT, f"{y:.2f}", plot_right, f"{y:.2f}", "#e0e0e0", 1)
+        yield _text(MARGIN_LEFT - 8, f"{y + 4:.2f}", f"{tick:g}", anchor="end")
     for tick in _nice_ticks(frame.x0, frame.x1):
         x = f"{frame.x(tick):.2f}"
-        parts.append(_line(x, plot_bottom, x, plot_bottom + 5, "#000000", 1))
-        parts.append(_text(x, plot_bottom + 20, f"{tick:g}", anchor="middle"))
-    parts.append(_line(MARGIN_LEFT, plot_bottom, plot_right, plot_bottom, "#000000", 1.5))
-    parts.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, plot_bottom, "#000000", 1.5))
+        yield _line(x, plot_bottom, x, plot_bottom + 5, "#000000", 1)
+        yield _text(x, plot_bottom + 20, f"{tick:g}", anchor="middle")
+    yield _line(MARGIN_LEFT, plot_bottom, plot_right, plot_bottom, "#000000", 1.5)
+    yield _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, plot_bottom, "#000000", 1.5)
     x_mid = f"{(MARGIN_LEFT + plot_right) / 2:.2f}"
-    parts.append(_text(x_mid, HEIGHT - 15, "training step", size=14, anchor="middle"))
+    yield _text(x_mid, HEIGHT - 15, "training step", size=14, anchor="middle")
     y_mid = f"{(MARGIN_TOP + plot_bottom) / 2:.2f}"
     rotate = f"rotate(-90 20 {y_mid})"
-    parts.append(_text(20, y_mid, "total correlation (nats)", 14, "middle", rotate))
+    yield _text(20, y_mid, "total correlation (nats)", 14, "middle", rotate)
 
     drawn_steps: list[tuple[np.ndarray, np.ndarray]] = []
     legend_y = MARGIN_TOP + 12
     for idx, (label, trace) in enumerate(traces):
         raw_color, dark_color = PALETTE[idx % len(PALETTE)]
         if len(trace.steps):
-            parts.append(frame.polyline(trace.steps, trace.raw, raw_color, 1, opacity=0.55))
-            parts.append(frame.polyline(trace.steps, trace.smoothed, dark_color, 2))
+            yield frame.polyline(trace.steps, trace.raw, raw_color, 1, opacity=0.55)
+            yield frame.polyline(trace.steps, trace.smoothed, dark_color, 2)
             if not any(
                 np.array_equal(trace.steps, s) and np.array_equal(trace.target, t)
                 for s, t in drawn_steps
             ):
-                parts.append(
-                    frame.polyline(*_step_points(trace.steps, trace.target), "#000000", 2)
-                )
+                yield frame.polyline(*_step_points(trace.steps, trace.target), "#000000", 2)
                 drawn_steps.append((trace.steps, trace.target))
-        parts.append(_line(plot_right + 14, legend_y, plot_right + 40, legend_y, dark_color, 2))
-        parts.append(_text(plot_right + 46, legend_y + 4, _escape(label)))
+        yield _line(plot_right + 14, legend_y, plot_right + 40, legend_y, dark_color, 2)
+        yield _text(plot_right + 46, legend_y + 4, _escape(label))
         legend_y += 18
-    parts.append(_line(plot_right + 14, legend_y, plot_right + 40, legend_y, "#000000", 2))
-    parts.append(_text(plot_right + 46, legend_y + 4, "true TC"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield _line(plot_right + 14, legend_y, plot_right + 40, legend_y, "#000000", 2)
+    yield _text(plot_right + 46, legend_y + 4, "true TC")
+    yield "</svg>"
+
+
+def _lines(traces: list[tuple[str, TrainingTrace]], frame: _Frame) -> Iterator[str]:
+    """The document, one element per line."""
+    return (f"{element}\n" for element in _elements(traces, frame))
+
+
+def render_traces(traces: list[tuple[str, TrainingTrace]]) -> str:
+    """Render labelled traces into one overlaid SVG panel, returned whole. A
+    trace with a non-finite value, or values wider apart than a float holds,
+    is rejected."""
+    return "".join(_lines(traces, _frame(traces)))
 
 
 def write_svg(traces: list[tuple[str, TrainingTrace]], path: str | Path) -> None:
-    Path(path).write_text(render_traces(traces), encoding="utf-8")
+    """Write the document of :func:`render_traces`, byte for byte, one element
+    at a time, so that neither the document nor its encoding is held whole.
+    The traces are checked before the file is opened, so a rejected trace
+    leaves no file."""
+    frame = _frame(traces)
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_lines(traces, frame))

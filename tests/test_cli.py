@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 from enum import Enum
 
@@ -311,6 +312,18 @@ class TestPlotCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o.svg").exists()
+
+    def test_trace_name_that_is_not_utf8_is_escaped_in_the_legend(self, tmp_path, capsys):
+        name = os.fsdecode(b"bad\xff.csv")  # the byte comes back as U+DCFF
+        (tmp_path / name).write_text(
+            "global_step,target_tc,raw_estimate,smoothed_estimate,term_index,term_estimate\n"
+            "1,2.0,0.5,0.5,0,0.5\n2,2.0,0.75,0.625,0,0.75\n"
+        )
+        svg = tmp_path / "o.svg"
+        code = main(["plot", str(tmp_path / name), "--out", str(svg)])
+        assert code == 0, capsys.readouterr().err
+        text = svg.read_bytes().decode("utf-8")
+        assert ">bad\\xff</text>" in text
 
     def test_value_range_beyond_a_float_exits_1_with_one_error_line(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"

@@ -6,6 +6,9 @@ import pytest
 from totalcorr import (
     IndexSet,
     ParameterError,
+    PathKind,
+    build_plan,
+    club_closed_form,
     equicorrelated_sigma,
     gaussian_model,
     mc_tc_oracle,
@@ -181,6 +184,66 @@ class TestMiClosedForm:
             model = random_correlation(5, rng)
             mi = mi_closed_form(model, IndexSet.of(1, 3), IndexSet.of(2, 4, 5))
             assert mi >= -1e-12
+
+
+class TestClubClosedForm:
+    @pytest.mark.parametrize(
+        "truth, kind, expected",
+        [
+            (2.0, PathKind.TREE, 10.211),
+            (2.0, PathKind.LINE, 8.488),
+            (4.0, PathKind.TREE, 49.450),
+            (4.0, PathKind.LINE, 40.732),
+        ],
+    )
+    def test_plan_sums_on_the_protocol_models(self, truth, kind, expected):
+        model = equicorrelated_sigma(4, solve_rho_for_tc(4, truth))
+        plan = build_plan(4, kind)
+        total = sum(club_closed_form(model, t.left, t.right) for t in plan.terms)
+        assert round(total, 3) == expected
+
+    def test_scalar_v_gives_exp_of_twice_the_mi_minus_one(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            model = random_correlation(5, rng)
+            for left in (IndexSet.of(1), IndexSet.of(1, 3), IndexSet.of(1, 2, 4, 5)):
+                right = IndexSet.of(3) if 3 not in left.indices else IndexSet.of(2)
+                expected = math.expm1(2.0 * mi_closed_form(model, left, right))
+                assert club_closed_form(model, left, right) == pytest.approx(expected, rel=1e-10)
+
+    def test_block_v_exceeds_exp_of_twice_the_mi_minus_one(self):
+        # TREE's first term at truth 2: v = (x3, x4), where the diagonal q
+        # cannot follow v's own correlation
+        model = equicorrelated_sigma(4, solve_rho_for_tc(4, 2.0))
+        left, right = IndexSet.of(1, 2), IndexSet.of(3, 4)
+        assert round(club_closed_form(model, left, right), 3) == 5.915
+        assert round(math.expm1(2.0 * mi_closed_form(model, left, right)), 3) == 4.510
+
+    def test_matches_monte_carlo_of_the_fitted_q(self):
+        # E_joint log q(v|u) - E_indep log q(v|u) with q = N(B u, diag C),
+        # the independent pairs made by pairing each u with another row's v
+        model = random_correlation(4, np.random.default_rng(8))
+        left, right = IndexSet.of(1, 2), IndexSet.of(3, 4)
+        u_pos, v_pos = left.positions(), right.positions()
+        s = model.sigma
+        b = np.linalg.solve(s[np.ix_(u_pos, u_pos)], s[np.ix_(u_pos, v_pos)]).T
+        cond_var = np.diag(s[np.ix_(v_pos, v_pos)] - b @ s[np.ix_(u_pos, v_pos)])
+        x = sample(model, 400_000, np.random.default_rng(9))
+        u, v = x[:, u_pos], x[:, v_pos]
+
+        def log_q(u, v):
+            return -0.5 * np.sum((v - u @ b.T) ** 2 / cond_var + np.log(2 * np.pi * cond_var), 1)
+
+        gap = log_q(u, v) - log_q(u, np.roll(v, 1, axis=0))
+        se = gap.std(ddof=1) / math.sqrt(len(gap))
+        assert abs(gap.mean() - club_closed_form(model, left, right)) < 4 * se
+
+    def test_bad_blocks_rejected(self):
+        model = equicorrelated_sigma(4, 0.5)
+        with pytest.raises(ParameterError, match="overlap"):
+            club_closed_form(model, IndexSet.of(1, 2), IndexSet.of(2, 3))
+        with pytest.raises(ParameterError, match="out of range"):
+            club_closed_form(model, IndexSet.of(1), IndexSet.of(5))
 
 
 class TestBinaryPartitionIdentity:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import totalcorr
 from totalcorr import svgplot
 from totalcorr.errors import ParameterError
 from totalcorr.harness import TrainingTrace, persist_trace, smooth
-from totalcorr.svgplot import _nice_ticks, _points, _step_points, render_traces
+from totalcorr.svgplot import _nice_ticks, _points, _step_points, render_traces, write_svg
 
 GOLDEN_SVG = Path(__file__).parent / "data" / "golden_plot.svg"
 
@@ -216,3 +217,53 @@ class TestRenderTraces:
         with pytest.raises(ParameterError, match=re.escape(f"from {lo!r} to {hi!r} span more")):
             render_traces([("wide", trace)])
         assert not recwarn.list
+
+    def test_label_with_a_lone_surrogate_is_written_as_its_escape(self, tmp_path):
+        # a file name's byte 0xff, as Path.stem gives it back under surrogateescape
+        trace = trace_from([0.1, 0.4, 0.8], [2.0, 2.0, 2.0])
+        labelled = [("bad\udcff", trace), ("odd\ud800", trace)]
+        svg = render_traces(labelled)
+        assert ">bad\\xff</text>" in svg and ">odd\\ud800</text>" in svg
+        path = tmp_path / "figure.svg"
+        write_svg(labelled, path)
+        assert path.read_bytes() == svg.encode("utf-8")
+
+
+class TestWriteSvg:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "golden.svg"
+        write_svg(golden_traces(), path)
+        assert path.read_bytes() == GOLDEN_SVG.read_bytes()
+
+    def test_default_length_figure_matches_render_traces(self, tmp_path):
+        traces = default_length_traces()
+        path = tmp_path / "figure.svg"
+        write_svg(traces, path)
+        assert path.read_bytes() == render_traces(traces).encode("utf-8")
+
+    def test_peak_memory_stays_below_the_document(self, tmp_path):
+        # 8 traces of 5000 steps; rendering whole and encoding peaks at about
+        # 3x the document, writing element by element at about 0.6x
+        rng = np.random.default_rng(4)
+        traces = []
+        for i in range(8):
+            raw = rng.normal(2.0, 0.5, 5000)
+            traces.append((f"trace {i}", trace_from(raw, np.full(5000, 2.0))))
+        path = tmp_path / "figure.svg"
+        tracemalloc.start()
+        try:
+            write_svg(traces, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size, f"peak {peak} bytes for a {size}-byte document"
+
+    @pytest.mark.parametrize("raw", [[0.1, math.nan], [0.1, math.inf], [-1e308, 1e308]])
+    def test_rejected_trace_creates_no_file(self, tmp_path, raw):
+        path = tmp_path / "figure.svg"
+        traces = [("ok", trace_from([0.5, 0.5], [1.0, 1.0])), ("bad", trace_from(raw, [0.0, 0.0]))]
+        with pytest.raises(ParameterError, match="trace"):
+            write_svg(traces, path)
+        assert not path.exists()
