@@ -25,7 +25,6 @@ from .gaussian import (
     random_correlation,
     sample,
     solve_rho_for_tc,
-    submodel,
     tc_closed_form,
 )
 from .nn import AdamState, CondGaussianHead, Mlp, adam_step
@@ -81,7 +80,6 @@ __all__ = [
     "random_correlation",
     "sample",
     "solve_rho_for_tc",
-    "submodel",
     "tc_closed_form",
     "AdamState",
     "CondGaussianHead",

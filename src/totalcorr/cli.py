@@ -18,6 +18,7 @@ from pathlib import Path
 from . import diagnostics
 from .errors import ConfigError, ParameterError, TotalCorrError
 from .harness import (
+    CONFIG_FIELD_TYPES,
     METRICS_HEADER,
     ExperimentConfig,
     load_metrics,
@@ -46,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------- config file
-
-# The config file's keys and value types are the fields of ExperimentConfig.
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-
 
 def _coerce(hint, value: str):
     """``value`` parsed as the type ``hint``; a tuple is a comma-separated list
@@ -90,14 +87,14 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
-        if key not in _FIELD_TYPES:
+        if key not in CONFIG_FIELD_TYPES:
             raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
         if key in set_on:
             message = f"{key!r} is already set on line {set_on[key]}"
             raise ConfigError(f"{path}: line {lineno}: {message}")
         set_on[key] = lineno
         try:
-            fields[key] = _coerce(_FIELD_TYPES[key], value.strip())
+            fields[key] = _coerce(CONFIG_FIELD_TYPES[key], value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: invalid value for {key!r}: {exc}") from exc
     try:

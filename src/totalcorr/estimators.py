@@ -74,14 +74,18 @@ def create_term_estimator(
     return MiTermEstimator(kind, u_dim, v_dim, net)
 
 
-def _check_pair_batch(u: np.ndarray, v: np.ndarray) -> int:
+def _check_pair_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as float64 arrays, 2-d with equal row counts of at least 2: the one
+    intake of a pair batch, for :func:`_bound` and :func:`club_bound` only."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if u.ndim != 2 or v.ndim != 2:
         raise ParameterError("u and v must be 2-d batches")
     if u.shape[0] != v.shape[0]:
         raise ParameterError(f"batch sizes disagree: {u.shape[0]} vs {v.shape[0]}")
     if u.shape[0] < 2:
         raise ParameterError("contrastive bounds need a batch of at least 2")
-    return u.shape[0]
+    return u, v
 
 
 def pair_scores(critic: Mlp, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, MlpCache]:
@@ -91,8 +95,10 @@ def pair_scores(critic: Mlp, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, 
     product-of-marginals scores. Returns the (N, N) scores, a fresh array,
     and the forward cache. The N*N pairs are written feature-major straight
     into the critic's input buffer, pair (i, j) in column i*N + j.
+    The batch, taken in by :func:`_check_pair_batch`, is not checked again;
+    the pair width is, as a narrower v would broadcast into the buffer.
     """
-    n = _check_pair_batch(u, v)
+    n = u.shape[0]
     width = u.shape[1] + v.shape[1]
     if width != critic.in_dim:
         raise ParameterError(f"pair width {width} does not match critic input width {critic.in_dim}")
@@ -216,8 +222,9 @@ def club_bound(
     The value, mean_i log q(v_i | u_i) - mean_{i,j} log q(v_j | u_i), comes
     from the all-pairs matrix. q is fit by maximum likelihood on the joint
     pairs only (:func:`_club_nll`); the value itself is never differentiated.
+    The batch, any array-like, is taken in here by :func:`_check_pair_batch`.
     """
-    _check_pair_batch(u, v)
+    u, v = _check_pair_batch(u, v)
     cache = cond_gaussian_forward(head, u, v)
     logq = cond_gaussian_logpdf_matrix(cache)
     n = logq.shape[0]
@@ -243,9 +250,7 @@ def _bound(
     With value_only=True, the value alone. Otherwise (value, loss), with the
     loss's gradient in ``est.net.grad`` and MINE's moving average advanced.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    _check_pair_batch(u, v)
+    u, v = _check_pair_batch(u, v)
     if u.shape[1] != est.u_dim or v.shape[1] != est.v_dim:
         raise ParameterError(
             f"expected widths ({est.u_dim}, {est.v_dim}), got ({u.shape[1]}, {v.shape[1]})"

@@ -214,16 +214,6 @@ def club_closed_form(model: GaussianModel, left: IndexSet, right: IndexSet) -> f
     return float(0.5 * np.sum((var_v + explained) / (var_v - explained) - 1.0))
 
 
-def submodel(model: GaussianModel, subset: IndexSet) -> GaussianModel:
-    """The marginal model on a subset of variables."""
-    if len(subset) == 0:
-        raise ParameterError("subset must be non-empty")
-    if subset.indices[-1] > model.dim:
-        raise ParameterError(f"index out of range for dim={model.dim}: {subset.indices}")
-    pos = subset.positions()
-    return gaussian_model(model.sigma[np.ix_(pos, pos)])
-
-
 def sample(model: GaussianModel, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``batch`` rows of L z with z i.i.d. standard normal."""
     if batch < 1:

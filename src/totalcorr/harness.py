@@ -13,8 +13,10 @@ purpose[, segment])) with purpose 0 = network init, 1 = training data,
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import traceback
+import typing
 import warnings
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -101,6 +103,11 @@ class ExperimentConfig:
     fresh_networks_per_target: bool = False
 
     def __post_init__(self):
+        for name, hint in CONFIG_FIELD_TYPES.items():
+            kind, what = _SCALAR_TYPES.get(hint, (object, None))
+            value = getattr(self, name)
+            if what and (not isinstance(value, kind) or isinstance(value, bool) != (hint is bool)):
+                raise ParameterError(f"{name} must be {what}, got {value!r}")
         object.__setattr__(self, "tc_targets", tuple(float(t) for t in self.tc_targets))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "paths", tuple(self.paths))
@@ -142,6 +149,15 @@ class ExperimentConfig:
                     raise ParameterError(f"{name} lists {kind.value} more than once")
         if self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+
+
+# Field types from the annotations; numpy integers pass as ints, bools only as bools.
+CONFIG_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_SCALAR_TYPES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    bool: (bool, "a bool"),
+}
 
 
 @dataclass
@@ -366,19 +382,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
 
 def persist_trace(trace: TrainingTrace, path: str | Path) -> None:
     """Write one row per (step, term); floats carry 17 significant digits.
-    A non-finite value is rejected, naming its column and step, before the
-    file is opened."""
-    columns = [("target_tc", trace.target), ("raw_estimate", trace.raw)]
-    columns += [("smoothed_estimate", trace.smoothed)]
-    columns += [(f"term_estimate of term {k}", c) for k, c in enumerate(trace.terms.T)]
-    first = None  # (row, name, value) of the first non-finite cell in file order
-    for name, column in columns:
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size and (first is None or bad[0] < first[0]):
-            first = (bad[0], name, column[bad[0]])
-    if first is not None:
-        row, name, value = first
-        raise ParameterError(f"step {trace.steps[row]}: {name} is not finite: {float(value)!r}")
+    The first non-finite value in file order is rejected, naming its column
+    and step, before the file is opened."""
+    names = ["target_tc", "raw_estimate", "smoothed_estimate"]
+    names += [f"term_estimate of term {k}" for k in range(trace.n_terms)]
+    cells = np.column_stack([trace.target, trace.raw, trace.smoothed, trace.terms])
+    bad = ~np.isfinite(cells)
+    if bad.any():
+        row, c = divmod(int(np.argmax(bad)), len(names))
+        value = float(cells[row, c])
+        raise ParameterError(f"step {trace.steps[row]}: {names[c]} is not finite: {value!r}")
     _write_csv(path, TRACE_HEADER, _trace_blocks(trace))
 
 

@@ -233,11 +233,9 @@ def cond_gaussian_forward(
     head: CondGaussianHead, u: np.ndarray, v: np.ndarray
 ) -> CondGaussianCache:
     """Both heads on the batch, log-variances clamped to [-10, 10]: the cache
-    that the row log-densities, the all-pairs matrix and backward work from."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
-        raise ParameterError("u and v must be 2-d with equal batch sizes")
+    that the row log-densities, the all-pairs matrix and backward work from.
+    The batch is used as ``club_bound`` took it in, unchecked but for v's
+    width, which the heads, seeing only u, would not catch."""
     if v.shape[1] != head.v_dim:
         raise ParameterError(f"v must have width {head.v_dim}, got {v.shape[1]}")
     mu, mu_cache = head.mu_net.forward(u)
@@ -264,11 +262,9 @@ def cond_gaussian_logpdf_backward(
 ) -> None:
     """Gradients of sum(dlogpdf * logpdf) w.r.t. the head, into ``head.grad``.
 
-    The clamp contributes zero gradient outside [-10, 10].
+    ``dlogpdf`` is a float64 array of one value per row. The clamp
+    contributes zero gradient outside [-10, 10].
     """
-    dlogpdf = np.asarray(dlogpdf, dtype=np.float64)
-    if dlogpdf.shape != (cache.v.shape[0],):
-        raise ParameterError("dlogpdf must be one value per row")
     w = dlogpdf[:, None]
     resid = cache.v - cache.mu
     dmu = w * resid * cache.inv_var

@@ -84,11 +84,6 @@ class TestScoreMatrix:
         scores = scores_of(critic, rng.standard_normal((64, 1)), rng.standard_normal((64, 1)))
         assert scores.shape == (64, 64)
 
-    def test_rejects_batch_of_one(self):
-        critic = Mlp.initialize(2, 4, 1, np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            scores_of(critic, np.zeros((1, 1)), np.zeros((1, 1)))
-
     def test_rejects_pairs_narrower_than_critic(self):
         # the grid is written into the critic's buffer, where a narrower v
         # would broadcast over the missing rows instead of failing
@@ -249,6 +244,15 @@ class TestClubValue:
         expected = (mat[0, 0] + mat[1, 1]) / 2 - mat.mean()
         assert club_bound(head, u, v, value_only=True) == pytest.approx(expected, abs=1e-12)
 
+    def test_club_bound_takes_nested_lists(self):
+        # the exported CLUB bound takes the batch in as evaluate does
+        rng = np.random.default_rng(18)
+        est = create_term_estimator(MiEstimatorKind.CLUB, 2, 1, rng)
+        u, v = rng.standard_normal((8, 2)), rng.standard_normal((8, 1))
+        got = club_bound(est.net, u.tolist(), v.tolist(), value_only=True)
+        assert got == club_bound(est.net, u, v, value_only=True) == evaluate(est, u, v)
+        assert club_bound(est.net, u.tolist(), v.tolist()) == club_bound(est.net, u, v)
+
     def test_train_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         head = CondGaussianHead.initialize(2, 1, 5, rng)
@@ -372,6 +376,7 @@ class TestTrainStep:
         [
             (np.zeros(8), np.zeros((8, 1)), "u and v must be 2-d batches"),
             (np.zeros((8, 1)), np.zeros((6, 1)), "batch sizes disagree: 8 vs 6"),
+            (np.zeros((1, 1)), np.zeros((1, 1)), "need a batch of at least 2"),
         ],
     )
     def test_malformed_batch_rejected_before_any_update(self, kind, u, v, message):

@@ -16,7 +16,6 @@ from totalcorr import (
     random_correlation,
     sample,
     solve_rho_for_tc,
-    submodel,
     tc_closed_form,
 )
 
@@ -258,11 +257,11 @@ class TestBinaryPartitionIdentity:
             for mask in range(1, 2 ** n - 1):
                 left = IndexSet(tuple(i + 1 for i in range(n) if mask >> i & 1))
                 right = IndexSet(tuple(i + 1 for i in range(n) if not mask >> i & 1))
-                parts = (
-                    tc_closed_form(submodel(model, left))
-                    + tc_closed_form(submodel(model, right))
-                    + mi_closed_form(model, left, right)
+                tc_left, tc_right = (
+                    tc_closed_form(gaussian_model(model.sigma[np.ix_(p, p)]))
+                    for p in (left.positions(), right.positions())
                 )
+                parts = tc_left + tc_right + mi_closed_form(model, left, right)
                 assert abs(parts - total) < 1e-9
 
 

@@ -228,6 +228,35 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=message):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dim", 4.5, "dim must be an integer, got 4.5"),
+            ("steps_per_target", 2.5, "steps_per_target must be an integer"),
+            ("batch_size", 8.0, "batch_size must be an integer"),
+            ("hidden", True, "hidden must be an integer, got True"),
+            ("smoothing_bandwidth", 5.0, "smoothing_bandwidth must be an integer"),
+            ("eval_batches", 3.5, "eval_batches must be an integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("lr", True, "lr must be a real number, got True"),
+            ("lr", "1e-4", "lr must be a real number"),
+            ("fresh_networks_per_target", "false", "fresh_networks_per_target must be a bool"),
+            ("fresh_networks_per_target", 0, "fresh_networks_per_target must be a bool"),
+            ("dim", np.int64(3), None),
+            ("seed", np.uint8(7), None),
+            ("lr", np.float32(0.5), None),
+            ("lr", 1, None),
+        ],
+    )
+    def test_field_types(self, field, value, message):
+        # a wrong-typed field would otherwise fail inside every run, or be
+        # taken as another value; numpy scalars of the right kind pass
+        if message is None:
+            assert getattr(ExperimentConfig(**{field: value}), field) == value
+        else:
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+                ExperimentConfig(**{field: value})
+
 
 class TestSmooth:
     def test_constant_series(self):

@@ -6,7 +6,13 @@ import pytest
 
 from totalcorr.diagnostics import LossProbe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
-from totalcorr.estimators import LOWER_BOUNDS, MiEstimatorKind, create_term_estimator, train_step
+from totalcorr.estimators import (
+    LOWER_BOUNDS,
+    MiEstimatorKind,
+    club_bound,
+    create_term_estimator,
+    train_step,
+)
 from totalcorr.nn import (
     AdamState,
     CondGaussianHead,
@@ -270,13 +276,14 @@ class TestCondGaussian:
     @pytest.mark.parametrize(
         "u, v, message",
         [
-            (np.zeros((3, 1)), np.zeros((2, 1)), "u and v must be 2-d with equal batch sizes"),
+            (np.zeros((3, 1)), np.zeros((2, 1)), "batch sizes disagree: 3 vs 2"),
             (np.zeros((3, 1)), np.zeros((3, 2)), "v must have width 1, got 2"),
         ],
     )
     def test_malformed_batch_rejected(self, u, v, message):
+        # club_bound takes the batch in; the forward pass checks v's width
         with pytest.raises(ParameterError, match=message):
-            cond_gaussian_forward(constant_head(), u, v)
+            club_bound(constant_head(), u, v)
 
     def test_pairwise_matrix_matches_rowwise(self):
         rng = np.random.default_rng(7)
