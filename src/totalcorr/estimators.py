@@ -26,7 +26,6 @@ from .nn import (
     cond_gaussian_forward,
     cond_gaussian_logpdf,
     cond_gaussian_logpdf_backward,
-    cond_gaussian_logpdf_matrix,
 )
 
 MINE_EMA_DECAY = 0.99
@@ -219,16 +218,35 @@ def club_bound(
 ) -> tuple[float, float] | float:
     """Contrastive log-ratio upper bound and its loss, from one forward pass.
 
-    The value, mean_i log q(v_i | u_i) - mean_{i,j} log q(v_j | u_i), comes
-    from the all-pairs matrix. q is fit by maximum likelihood on the joint
-    pairs only (:func:`_club_nll`); the value itself is never differentiated.
+    The value is mean_i log q(v_i | u_i) - mean_{i,j} log q(v_j | u_i).
+    q is fit by maximum likelihood on the joint pairs only
+    (:func:`_club_nll`); the value itself is never differentiated.
     The batch, any array-like, is taken in here by :func:`_check_pair_batch`.
     """
     u, v = _check_pair_batch(u, v)
+    return _club_bound(head, u, v, value_only)
+
+
+def _club_bound(
+    head: CondGaussianHead, u: np.ndarray, v: np.ndarray, value_only: bool
+) -> tuple[float, float] | float:
+    """:func:`club_bound` on a batch that :func:`_check_pair_batch` took in.
+
+    For a diagonal Gaussian q the all-pairs mean needs only the batch mean
+    m1_k and biased variance s_k of each column of v, since
+    mean_j (v_jk - mu_ik)^2 = s_k + (m1_k - mu_ik)^2, and the log-normalizers
+    cancel exactly, so the value is
+    0.5 * mean_i sum_k inv_var_ik * [s_k + (m1_k - mu_ik)^2 - (v_ik - mu_ik)^2]:
+    O(N d) work, with no (N, N) matrix.
+    """
     cache = cond_gaussian_forward(head, u, v)
-    logq = cond_gaussian_logpdf_matrix(cache)
-    n = logq.shape[0]
-    value = float(np.add.reduce(logq.diagonal()) / n - np.add.reduce(logq, axis=None) / logq.size)
+    n = v.shape[0]
+    m1 = np.add.reduce(v, axis=0) / n
+    centered = v - m1
+    s = np.add.reduce(centered * centered, axis=0) / n
+    gap = m1 - cache.mu
+    contrast = 0.5 * cache.inv_var * (s + gap * gap) - cache.half_sq
+    value = float(np.add.reduce(contrast, axis=None) / n)
     if value_only:
         return value
     return value, _club_nll(head, cache)
@@ -256,7 +274,7 @@ def _bound(
             f"expected widths ({est.u_dim}, {est.v_dim}), got ({u.shape[1]}, {v.shape[1]})"
         )
     if est.kind is MiEstimatorKind.CLUB:
-        return club_bound(est.net, u, v, value_only=value_only)
+        return _club_bound(est.net, u, v, value_only)
     scores, cache = pair_scores(est.net, u, v)
     bound = LOWER_BOUNDS[est.kind]
     if value_only:

@@ -104,13 +104,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, hint in CONFIG_FIELD_TYPES.items():
-            kind, what = _SCALAR_TYPES.get(hint, (object, None))
             value = getattr(self, name)
+            if typing.get_origin(hint) is tuple:
+                object.__setattr__(self, name, _tuple_field(name, value, typing.get_args(hint)[0]))
+                continue
+            kind, what = _SCALAR_TYPES.get(hint, (object, None))
             if what and (not isinstance(value, kind) or isinstance(value, bool) != (hint is bool)):
                 raise ParameterError(f"{name} must be {what}, got {value!r}")
-        object.__setattr__(self, "tc_targets", tuple(float(t) for t in self.tc_targets))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "paths", tuple(self.paths))
         if self.dim < 2:
             raise ParameterError(
                 f"dim must be at least 2, got {self.dim}: a single variable has no MI terms"
@@ -136,15 +136,10 @@ class ExperimentConfig:
             )
         if self.eval_batches < 2:
             raise ParameterError("eval_batches must be at least 2")
-        for name, kinds, kind_type in (
-            ("estimators", self.estimators, MiEstimatorKind),
-            ("paths", self.paths, PathKind),
-        ):
+        for name, kinds in (("estimators", self.estimators), ("paths", self.paths)):
             if not kinds:
                 raise ParameterError(f"{name} must be non-empty")
             for i, kind in enumerate(kinds):
-                if not isinstance(kind, kind_type):
-                    raise ParameterError(f"{name} item {kind!r} is not a {kind_type.__name__}")
                 if kind in kinds[:i]:
                     raise ParameterError(f"{name} lists {kind.value} more than once")
         if self.seed < 0:
@@ -158,6 +153,23 @@ _SCALAR_TYPES = {
     float: (numbers.Real, "a real number"),
     bool: (bool, "a bool"),
 }
+
+
+def _tuple_field(name: str, value, item_type: type) -> tuple:
+    """A tuple field's items as a tuple, each of the annotated type (a real
+    item, never a bool, becomes a float). A string is refused whole: it
+    would iterate as its characters."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ParameterError(f"{name} must be a sequence of items, not a string: {value!r}")
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence of items, got {value!r}") from None
+    kind, what = _SCALAR_TYPES.get(item_type, (item_type, f"a {item_type.__name__}"))
+    for item in items:
+        if not isinstance(item, kind) or isinstance(item, bool):
+            raise ParameterError(f"{name} item {item!r} is not {what}")
+    return tuple(float(t) for t in items) if item_type is float else items
 
 
 @dataclass

@@ -220,6 +220,10 @@ class CondGaussianHead:
 
 
 class CondGaussianCache(NamedTuple):
+    """Both heads' caches and their outputs on one batch, with the residual
+    ``resid`` = v - mu and ``half_sq`` = 0.5 * resid**2 * inv_var, which the
+    row log-densities, their gradient and CLUB's value all use."""
+
     mu_cache: MlpCache
     logvar_cache: MlpCache
     mu: np.ndarray
@@ -227,13 +231,15 @@ class CondGaussianCache(NamedTuple):
     logvar: np.ndarray
     inv_var: np.ndarray
     v: np.ndarray
+    resid: np.ndarray
+    half_sq: np.ndarray
 
 
 def cond_gaussian_forward(
     head: CondGaussianHead, u: np.ndarray, v: np.ndarray
 ) -> CondGaussianCache:
     """Both heads on the batch, log-variances clamped to [-10, 10]: the cache
-    that the row log-densities, the all-pairs matrix and backward work from.
+    that the row log-densities, CLUB's value and backward work from.
     The batch is used as ``club_bound`` took it in, unchecked but for v's
     width, which the heads, seeing only u, would not catch."""
     if v.shape[1] != head.v_dim:
@@ -242,7 +248,11 @@ def cond_gaussian_forward(
     logvar_raw, logvar_cache = head.logvar_net.forward(u)
     logvar = np.minimum(np.maximum(logvar_raw, LOGVAR_MIN), LOGVAR_MAX)
     inv_var = np.exp(-logvar)
-    return CondGaussianCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v)
+    resid = v - mu
+    half_sq = 0.5 * resid * resid * inv_var
+    return CondGaussianCache(
+        mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v, resid, half_sq
+    )
 
 
 def logvar_passes(cache: CondGaussianCache) -> np.ndarray:
@@ -252,9 +262,7 @@ def logvar_passes(cache: CondGaussianCache) -> np.ndarray:
 
 def cond_gaussian_logpdf(cache: CondGaussianCache) -> np.ndarray:
     """Row-wise log q(v_i | u_i) from the cache of :func:`cond_gaussian_forward`."""
-    resid = cache.v - cache.mu
-    per_dim = -0.5 * _LOG_2PI - 0.5 * cache.logvar - 0.5 * resid * resid * cache.inv_var
-    return per_dim.sum(axis=1)
+    return np.add.reduce(-0.5 * _LOG_2PI - 0.5 * cache.logvar - cache.half_sq, axis=1)
 
 
 def cond_gaussian_logpdf_backward(
@@ -266,9 +274,8 @@ def cond_gaussian_logpdf_backward(
     contributes zero gradient outside [-10, 10].
     """
     w = dlogpdf[:, None]
-    resid = cache.v - cache.mu
-    dmu = w * resid * cache.inv_var
-    dlogvar = w * (-0.5 + 0.5 * resid * resid * cache.inv_var)
+    dmu = w * cache.resid * cache.inv_var
+    dlogvar = w * (-0.5 + cache.half_sq)
     dlogvar *= logvar_passes(cache)
     head.mu_net.backward(cache.mu_cache, dmu)
     head.logvar_net.backward(cache.logvar_cache, dlogvar)
@@ -278,7 +285,10 @@ def cond_gaussian_logpdf_matrix(cache: CondGaussianCache) -> np.ndarray:
     """All-pairs log q(v_j | u_i) as an (N, N) matrix (no gradients).
 
     Built from the cache of :func:`cond_gaussian_forward` on (u, v) by
-    expanding the squared residual; no network runs again.
+    expanding the squared residual; no network runs again. No production
+    path calls it: CLUB's value comes from batch moments (see
+    ``estimators.club_bound``). It is the all-pairs reference for tests, and
+    the benchmark's tracer looks it up by name.
     """
     mu, inv_var, v = cache.mu, cache.inv_var, cache.v
     const = np.add.reduce(-0.5 * _LOG_2PI - 0.5 * cache.logvar - 0.5 * mu * mu * inv_var, axis=1)

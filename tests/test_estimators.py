@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from totalcorr import estimators
 from totalcorr.diagnostics import LossProbe, critic_probe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
 from totalcorr.estimators import (
@@ -22,8 +24,15 @@ from totalcorr.estimators import (
     _mine_surrogate,
 )
 from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator, tc_train_step
-from totalcorr.gaussian import equicorrelated_sigma, sample
-from totalcorr.nn import AdamState, CondGaussianHead, Mlp, adam_step
+from totalcorr.gaussian import club_closed_form, equicorrelated_sigma, sample, solve_rho_for_tc
+from totalcorr.nn import (
+    AdamState,
+    CondGaussianHead,
+    Mlp,
+    adam_step,
+    cond_gaussian_forward,
+    cond_gaussian_logpdf_matrix,
+)
 
 TRUE_MI_RHO09 = -0.5 * math.log(1.0 - 0.81)
 
@@ -244,6 +253,82 @@ class TestClubValue:
         expected = (mat[0, 0] + mat[1, 1]) / 2 - mat.mean()
         assert club_bound(head, u, v, value_only=True) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_moments_value_matches_exact_arithmetic(self, seed):
+        # the value against mean_i log q(v_i|u_i) - mean_ij log q(v_j|u_i)
+        # in rationals over the cache's float64 mu, inv_var and v; the
+        # log-normalizers cancel exactly, so only the quadratic terms remain
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 12
+        scale = (0.01, 1.0, 30.0)[seed % 3]
+        head = CondGaussianHead.initialize(2, 2, 5, rng)
+        head.logvar_net.b2 += (-700.0, -12.0, 0.0, 9.0, 700.0)[seed % 5]  # past both clamps
+        u, v = scale * rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 2))
+        cache = cond_gaussian_forward(head, u, v)
+        mu, inv_var, vv = ([[Fraction(x) for x in row] for row in a.tolist()]
+                           for a in (cache.mu, cache.inv_var, v))
+        exact = Fraction(0)
+        for i in range(n):
+            for k in range(2):
+                joint = (vv[i][k] - mu[i][k]) ** 2
+                pairs = sum((vv[j][k] - mu[i][k]) ** 2 for j in range(n)) / n
+                exact += inv_var[i][k] * (pairs - joint)
+        exact /= 2 * n
+        got = club_bound(head, u, v, value_only=True)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * abs(exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 65),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.01, 30.0),
+        logvar_shift=st.floats(-700.0, 700.0),
+    )
+    def test_value_is_the_all_pairs_matrix_contrast(self, n, seed, scale, logvar_shift):
+        # diag-mean minus full mean of the (N, N) log q matrix; the matrix
+        # adds and then cancels the log-normalizers, which can dwarf a small
+        # value, so the tolerance also scales with its largest entry
+        rng = np.random.default_rng(seed)
+        head = CondGaussianHead.initialize(2, 2, 5, rng)
+        head.logvar_net.b2 += logvar_shift
+        u, v = scale * rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 2))
+        logq = cond_gaussian_logpdf_matrix(cond_gaussian_forward(head, u, v))
+        expected = float(np.mean(np.diag(logq)) - np.mean(logq))
+        got = club_bound(head, u, v, value_only=True)
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-9 * float(np.max(np.abs(logq))))
+
+    @pytest.mark.parametrize("path", [PathKind.TREE, PathKind.LINE], ids=lambda p: p.value)
+    def test_hand_built_optimal_head_gives_the_closed_form(self, path):
+        # q*(v | u) = N(B u, diag C), set by hand with no training: the mean
+        # head passes each u_k through relu(x) - relu(-x) and scales by B,
+        # the log-variance head is the constant log C_kk in b2. A batch of
+        # N expects (N - 1) / N of gaussian.club_closed_form
+        model = equicorrelated_sigma(4, solve_rho_for_tc(4, 2.0))
+        rng = np.random.default_rng(23)
+        n, batches = 64, 1500
+        for term in build_plan(4, path).terms:
+            u_pos, v_pos = term.left.positions(), term.right.positions()
+            s = model.sigma
+            b = np.linalg.solve(s[np.ix_(u_pos, u_pos)], s[np.ix_(u_pos, v_pos)]).T
+            cond_var = np.diag(s[np.ix_(v_pos, v_pos)] - b @ s[np.ix_(u_pos, v_pos)])
+            du, dv = len(u_pos), len(v_pos)
+            w1, w2 = np.zeros((20, du)), np.zeros((dv, 20))
+            for k in range(du):
+                w1[2 * k, k], w1[2 * k + 1, k] = 1.0, -1.0
+                w2[:, 2 * k], w2[:, 2 * k + 1] = b[:, k], -b[:, k]
+            mu_net = Mlp(w1, np.zeros(20), w2, np.zeros(dv))
+            logvar_net = Mlp(
+                rng.standard_normal((20, du)), np.zeros(20), np.zeros((dv, 20)), np.log(cond_var)
+            )
+            head = CondGaussianHead(mu_net, logvar_net)
+            values = np.empty(batches)
+            for t in range(batches):
+                x = sample(model, n, rng)
+                values[t] = club_bound(head, x[:, u_pos], x[:, v_pos], value_only=True)
+            se = values.std(ddof=1) / math.sqrt(batches)
+            expected = (n - 1) / n * club_closed_form(model, term.left, term.right)
+            assert abs(values.mean() - expected) < 4 * se, (term, values.mean(), expected, se)
+
     def test_club_bound_takes_nested_lists(self):
         # the exported CLUB bound takes the batch in as evaluate does
         rng = np.random.default_rng(18)
@@ -442,6 +527,21 @@ class TestTrainStep:
                 bound = lambda **kw: LOWER_BOUNDS[kind](scores, ema, **kw)
             got = bound(value_only=True)
             assert isinstance(got, float) and got == bound()[0]
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    def test_batch_is_taken_in_once_per_step(self, kind, monkeypatch):
+        # one conversion and check per term step, CLUB's included
+        rng = np.random.default_rng(19)
+        est = create_term_estimator(kind, 2, 1, rng)
+        u, v = rng.standard_normal((16, 2)), rng.standard_normal((16, 1))
+        calls = []
+        intake = estimators._check_pair_batch
+        monkeypatch.setattr(
+            estimators, "_check_pair_batch", lambda u, v: calls.append(1) or intake(u, v)
+        )
+        train_step(est, u, v)
+        evaluate(est, u, v)
+        assert len(calls) == 2
 
     def test_club_runs_each_head_forward_once(self, monkeypatch):
         # value, loss and gradient of a CLUB step all come from one forward

@@ -222,6 +222,18 @@ class TestConfigValidation:
             (dict(estimators=("MINE",)), "estimators item 'MINE' is not a MiEstimatorKind"),
             (dict(paths=(PathKind.LINE, "TREE")), "paths item 'TREE' is not a PathKind"),
             (dict(dim=1, tc_targets=(0.0,)), "single variable"),
+            # a string would iterate as its characters, a bool pass as 0 or 1
+            (dict(tc_targets="24"), "tc_targets must be a sequence of items, not a string: '24'"),
+            (dict(tc_targets=b"24"), "tc_targets must be a sequence of items, not a string"),
+            (dict(estimators="MINE"), "estimators must be a sequence of items, not a string"),
+            (dict(paths="TREE"), "paths must be a sequence of items, not a string"),
+            (dict(tc_targets=2.0), "tc_targets must be a sequence of items, got 2.0"),
+            (dict(estimators=MiEstimatorKind.MINE), "estimators must be a sequence of items"),
+            (dict(paths=None), "paths must be a sequence of items, got None"),
+            (dict(tc_targets=(True, 2)), "tc_targets item True is not a real number"),
+            (dict(tc_targets=(2.0, np.bool_(True))), "tc_targets item np.True_ is not a real number"),
+            (dict(tc_targets=(2.0, "4")), "tc_targets item '4' is not a real number"),
+            (dict(tc_targets=(2.0, None)), "tc_targets item None is not a real number"),
         ],
     )
     def test_rejection_names_the_value(self, bad, message):
@@ -256,6 +268,16 @@ class TestConfigValidation:
         else:
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
                 ExperimentConfig(**{field: value})
+
+    def test_tuple_fields_take_any_iterable_of_items(self):
+        cfg = ExperimentConfig(
+            tc_targets=[2, np.float32(4.0), np.int64(6)],
+            estimators=[MiEstimatorKind.CLUB],
+            paths=iter([PathKind.LINE]),
+        )
+        assert cfg.tc_targets == (2.0, 4.0, 6.0)
+        assert all(type(t) is float for t in cfg.tc_targets)
+        assert cfg.estimators == (MiEstimatorKind.CLUB,) and cfg.paths == (PathKind.LINE,)
 
 
 class TestSmooth:
