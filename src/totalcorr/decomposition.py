@@ -23,7 +23,7 @@ from .estimators import (
     train_step,
 )
 from .gaussian import GaussianModel, IndexSet, mi_closed_form
-from .nn import DEFAULT_HIDDEN, DEFAULT_LR, AdamState, adam_step, pack_parameters
+from .nn import DEFAULT_HIDDEN, DEFAULT_LR, AdamState, MlpScratch, adam_step, pack_parameters
 
 
 class PathKind(Enum):
@@ -159,6 +159,10 @@ def make_tc_estimator(
         for lcols, rcols in zip(left_cols, right_cols)
     ]
     theta, grad = pack_parameters([t.net for t in terms])
+    if kind is not MiEstimatorKind.CLUB:
+        scratch = MlpScratch()
+        for term in terms:
+            term.net.scratch = scratch
     return TcEstimator(
         plan=plan,
         kind=kind,

@@ -61,9 +61,11 @@ def critic_probe(
 
     def loss_grad_sig():
         scores, cache = pair_scores(critic, u, v)
+        # read before backward, which writes the mask over the activations
+        sig = np.packbits(cache.hidden > 0).tobytes()
         loss, grad = loss_fn(scores)
         critic.backward(cache, grad.reshape(-1, 1))
-        return loss, critic.grad, np.packbits(cache.hidden > 0).tobytes()
+        return loss, critic.grad, sig
 
     return LossProbe(name, critic.theta, loss_grad_sig)
 
@@ -90,9 +92,9 @@ def make_loss_probes(rng: np.random.Generator) -> list[LossProbe]:
 
     def club_lgs():
         cache = cond_gaussian_forward(head, u, v)
-        loss = _club_nll(head, cache)
         masks = (cache.mu_cache.hidden > 0, cache.logvar_cache.hidden > 0, logvar_passes(cache))
-        return loss, head.grad, b"".join(np.packbits(m).tobytes() for m in masks)
+        sig = b"".join(np.packbits(m).tobytes() for m in masks)
+        return _club_nll(head, cache), head.grad, sig
 
     return probes + [LossProbe("CLUB", head.theta, club_lgs)]
 

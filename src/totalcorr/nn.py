@@ -10,7 +10,7 @@ bit-deterministic given identical seeds and call order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,14 +32,32 @@ class MlpCache(NamedTuple):
 
     ``x`` is the (in_dim + 1, rows) input whose last row is ones and
     ``hidden`` the (hidden, rows) post-ReLU activation, both feature-major.
-    They alias the net's scratch buffers, so only the most recent forward's
-    cache is valid; ``owner``/``token`` let backward reject stale ones.
+    They alias the buffers of the net's :class:`MlpScratch`, so only the
+    cache of the scratch's latest forward is valid, and only until its
+    backward, which consumes it: after ``backward``, ``hidden`` holds the
+    0/1 ReLU mask, not the activations. ``owner``/``token`` let backward
+    reject a stale cache.
     """
 
     x: np.ndarray
     hidden: np.ndarray
     owner: "Mlp"
     token: int
+
+
+@dataclass
+class MlpScratch:
+    """The activation buffers of the nets that share it, and its counter.
+
+    ``inputs`` maps (in_dim, rows) to the (in_dim + 1, rows) input buffer,
+    last row ones, and its (rows, in_dim) view without that row; ``hidden``
+    maps (hidden_dim, rows) to the (hidden_dim, rows) activation buffer.
+    ``token`` counts the forwards and the backwards of every net on it.
+    """
+
+    inputs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    hidden: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    token: int = 0
 
 
 class Mlp:
@@ -51,24 +69,31 @@ class Mlp:
     writes into the views ``dw1b1``, ``dw2`` and ``db2`` of ``grad``, which
     has the same layout. :func:`pack_parameters` moves nets into one pair.
 
-    Per batch size, the net keeps an (in_dim + 1, rows) input buffer whose
-    last row is ones, so one matmul with the block gives the pre-activations,
-    bias included, and (hidden, rows) buffers for the hidden activations and
-    the ReLU mask. Feature-major arrays make the work on a large batch
-    contiguous matmuls and in-place passes. forward copies its input into the
-    buffer unless the caller wrote it there through :meth:`input_buffer`, as
-    the critic's pair grid does. As the buffers are reused, backward only
-    accepts the cache of the latest forward.
+    The activations live in ``scratch``, an :class:`MlpScratch`: per batch
+    size, an (in_dim + 1, rows) input buffer whose last row is ones, so one
+    matmul with the block gives the pre-activations, bias included, and a
+    (hidden, rows) buffer for the hidden activations. Feature-major arrays
+    make the work on a large batch contiguous matmuls and in-place passes.
+    forward copies its input into the buffer unless the caller wrote it there
+    through :meth:`input_buffer`, as the critic's pair grid does. backward
+    reads the activations for ``dw2``, then writes the ReLU mask
+    ``hidden > 0`` over them in place and uses that, so no second
+    (hidden, rows) array exists. A backward consumes its cache: backward
+    accepts only the cache of the scratch's latest forward, once.
 
-    The buffers are kept for speed, not only to save allocations: a critic's
-    two (20, 4096) float64 arrays take 1.3 MB, which glibc's malloc hands
-    back to the OS when they are freed and page-faults in again on the next
-    step. With fresh arrays per call an InfoNCE ``train_step`` at N = 64 took
-    1.5 to 2.6 times as long, with 185 to 344 minor page faults per step
-    against none (two sets of runs on a 2-core Xeon, numpy 2.4.6). Raising
-    ``MALLOC_TRIM_THRESHOLD_`` and ``MALLOC_MMAP_THRESHOLD_`` in the
-    environment also removes the faults, but that setting belongs to the
-    process, not to the library.
+    Nets that never hold two live caches at once may share one scratch,
+    assigned to each as ``scratch``. The critics of a ``TcEstimator``'s terms
+    do, as each term runs its forward and backward before the next term's
+    forward; their scratch is one (20, 4096) activation buffer and one input
+    buffer per input width at N = 64, 0.92 to 1.05 MB instead of 4.3 MB with
+    a private scratch and mask per critic, so it stays in a 2 MB L2 cache
+    from term to term. Every net starts with a scratch of its own, and the
+    two heads of a :class:`CondGaussianHead` keep theirs:
+    :func:`cond_gaussian_forward` holds both heads' caches until both
+    backwards. The buffers are kept rather than freed because glibc's malloc
+    hands arrays of this size back to the OS and page-faults them in again
+    on the next step; with fresh arrays per call an InfoNCE ``train_step``
+    at N = 64 took 1.5 to 2.6 times as long (2-core Xeon, numpy 2.4.6).
     """
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
@@ -82,8 +107,7 @@ class Mlp:
         self.w1b1, self.w2, self.b2 = np.column_stack([w1, b1]), w2, b2
         theta = np.concatenate([p.ravel() for p in (self.w1b1, w2, b2)])
         self._bind(theta, np.zeros_like(theta))
-        self._scratch: dict[int, tuple[np.ndarray, ...]] = {}
-        self._token = 0
+        self.scratch = MlpScratch()
 
     def _bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Make the parameters views of ``theta`` and the gradients views of ``grad``."""
@@ -125,17 +149,18 @@ class Mlp:
     def out_dim(self) -> int:
         return self.w2.shape[0]
 
-    def _buffers(self, rows: int) -> tuple[np.ndarray, ...]:
-        """(x_aug, x, hidden, mask): the input with its ones row, its (rows,
-        in_dim) view without it, and the (hidden_dim, rows) arrays."""
-        bufs = self._scratch.get(rows)
-        if bufs is None:
+    def _buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x_aug, x, hidden) from the scratch: the input with its ones row,
+        its (rows, in_dim) view without it, and the (hidden_dim, rows) array."""
+        inputs = self.scratch.inputs.get((self.in_dim, rows))
+        if inputs is None:
             x_aug = np.empty((self.in_dim + 1, rows))
             x_aug[-1] = 1.0
-            hidden, mask = np.empty((self.hidden_dim, rows)), np.empty((self.hidden_dim, rows))
-            bufs = (x_aug, x_aug[:-1].T, hidden, mask)
-            self._scratch[rows] = bufs
-        return bufs
+            inputs = self.scratch.inputs[self.in_dim, rows] = (x_aug, x_aug[:-1].T)
+        hidden = self.scratch.hidden.get((self.hidden_dim, rows))
+        if hidden is None:
+            hidden = self.scratch.hidden[self.hidden_dim, rows] = np.empty((self.hidden_dim, rows))
+        return *inputs, hidden
 
     def input_buffer(self, rows: int) -> np.ndarray:
         """The (rows, in_dim) input view for batches of ``rows``, the transpose
@@ -149,28 +174,31 @@ class Mlp:
             raise ParameterError(
                 f"input must be (batch, {self.in_dim}), got {x.shape}"
             )
-        x_aug, x_view, hidden, _ = self._buffers(x.shape[0])
+        x_aug, x_view, hidden = self._buffers(x.shape[0])
         if x is not x_view:
             x_view[...] = x
         np.matmul(self.w1b1, x_aug, out=hidden)
         np.maximum(hidden, 0.0, out=hidden)
         out = (self.w2 @ hidden).T + self.b2
-        self._token += 1
-        return out, MlpCache(x=x_aug, hidden=hidden, owner=self, token=self._token)
+        self.scratch.token += 1
+        return out, MlpCache(x=x_aug, hidden=hidden, owner=self, token=self.scratch.token)
 
     def backward(self, cache: MlpCache, dout: np.ndarray) -> None:
-        """Exact parameter gradients into ``grad``; ReLU subgradient at 0 is 0."""
+        """Exact parameter gradients into ``grad``; ReLU subgradient at 0 is 0.
+        Consumes the cache: its ``hidden`` becomes the ReLU mask."""
         dout = np.asarray(dout, dtype=np.float64)
-        if cache.owner is not self or cache.token != self._token:
+        if cache.owner is not self or cache.token != self.scratch.token:
             raise ParameterError("stale cache: backward must follow its own forward")
         x_aug, hidden = cache.x, cache.hidden
         rows = x_aug.shape[1]
         if dout.shape != (rows, self.out_dim):
             raise ParameterError("output gradient does not match the cached batch")
-        # 0/1 float mask: relu'(pre) with the subgradient at 0 defined as 0
-        mask = np.greater(hidden, 0.0, out=self._buffers(rows)[3])
+        self.scratch.token += 1
         np.matmul(dout.T, hidden.T, out=self.dw2)
         dout.sum(axis=0, out=self.db2)
+        # 0/1 float mask over the activations, which dw2 has used:
+        # relu'(pre) with the subgradient at 0 defined as 0
+        mask = np.greater(hidden, 0.0, out=hidden)
         if self.out_dim == 1:
             # dpre = w2^T dout^T * mask factorizes through the scalar output:
             # one matmul mask @ (x_aug * dout)^T gives the whole first-layer
@@ -186,7 +214,8 @@ class Mlp:
 
 class CondGaussianHead:
     """Diagonal Gaussian q(v | u) with MLP mean and log-variance heads,
-    packed in that order into one ``theta`` and one ``grad``."""
+    packed in that order into one ``theta`` and one ``grad``. Each head keeps
+    a scratch of its own: :func:`cond_gaussian_forward` holds both caches."""
 
     def __init__(self, mu_net: Mlp, logvar_net: Mlp):
         if mu_net.in_dim != logvar_net.in_dim or mu_net.out_dim != logvar_net.out_dim:

@@ -98,15 +98,16 @@ def final_window_mean(trace, segment: int) -> float:
     return float(np.mean(trace.smoothed[end - FINAL_WINDOW : end]))
 
 
-def seed_averaged_final(results, kind, path, segment: int) -> float:
-    return float(
-        np.mean(
-            [
-                final_window_mean(results[seed].traces[(kind, path)], segment)
-                for seed in PROTOCOL_SEEDS
-            ]
-        )
+def seed_finals(results, kind, path, segment: int) -> np.ndarray:
+    """Each seed's final-window mean, in seed order."""
+    return np.array(
+        [final_window_mean(results[seed].traces[(kind, path)], segment) for seed in PROTOCOL_SEEDS]
     )
+
+
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean over the seeds (sample standard deviation)."""
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def club_fixed_point(truth: float, path: PathKind) -> float:
@@ -155,8 +156,11 @@ def test_criterion_5_bound_direction(protocol):
     for segment, truth in enumerate(PROTOCOL_TARGETS):
         for path in PathKind:
             for kind in LOWER_BOUNDS:
-                value = seed_averaged_final(results, kind, path, segment)
-                lines.append(f"{kind.value}-{path.value}@{truth:g}={value:.3f}")
+                finals = seed_finals(results, kind, path, segment)
+                value = float(np.mean(finals))
+                lines.append(
+                    f"{kind.value}-{path.value}@{truth:g}={value:.3f} (SE {standard_error(finals):.3f})"
+                )
                 if not value <= truth + 0.1:
                     violations.append(
                         f"{kind.value}/{path.value} at truth {truth:g}: {value:.3f} > truth + 0.1"
@@ -165,8 +169,9 @@ def test_criterion_5_bound_direction(protocol):
                     violations.append(
                         f"{kind.value}/{path.value} at truth {truth:g}: {value:.3f} < 0.5 * truth"
                     )
-            club = seed_averaged_final(results, MiEstimatorKind.CLUB, path, segment)
-            lines.append(f"CLUB-{path.value}@{truth:g}={club:.3f}")
+            finals = seed_finals(results, MiEstimatorKind.CLUB, path, segment)
+            club = float(np.mean(finals))
+            lines.append(f"CLUB-{path.value}@{truth:g}={club:.3f} (SE {standard_error(finals):.3f})")
             if not club >= truth - 0.1:
                 violations.append(
                     f"CLUB/{path.value} at truth {truth:g}: {club:.3f} < truth - 0.1"
@@ -212,9 +217,14 @@ def test_criterion_6_path_preference(protocol):
     if not club_bias[PathKind.LINE] <= club_bias[PathKind.TREE]:
         soft_failures.append(f"CLUB |bias| LINE > TREE: {lines[-1]}")
     for kind in LOWER_BOUNDS:
-        tree = seed_averaged_final(results, kind, PathKind.TREE, segment)
-        line = seed_averaged_final(results, kind, PathKind.LINE, segment)
-        lines.append(f"{kind.value}: TREE={tree:.3f} LINE={line:.3f}")
+        tree_finals = seed_finals(results, kind, PathKind.TREE, segment)
+        line_finals = seed_finals(results, kind, PathKind.LINE, segment)
+        tree, line = float(np.mean(tree_finals)), float(np.mean(line_finals))
+        diff = tree_finals - line_finals
+        lines.append(
+            f"{kind.value}: TREE={tree:.3f} LINE={line:.3f}, TREE-LINE={np.mean(diff):.3f} "
+            f"(SE {standard_error(diff):.3f}, TREE higher in {int(np.sum(diff > 0))}/{diff.size} seeds)"
+        )
         if not tree >= line - 0.1:
             soft_failures.append(f"{kind.value} TREE < LINE - 0.1: {lines[-1]}")
     for failure in soft_failures:

@@ -24,7 +24,7 @@ from totalcorr.decomposition import (
 from totalcorr.errors import TrainingError
 from totalcorr.estimators import MiEstimatorKind
 from totalcorr.gaussian import sample
-from totalcorr.nn import Mlp
+from totalcorr.nn import Mlp, cond_gaussian_forward
 
 
 def plan_as_tuples(plan: DecompositionPlan):
@@ -326,3 +326,61 @@ class TestAllOrNothingStep:
         est.terms[1].net.b2[...] = saved
         assert tc_train_step(est, batch)[1].tobytes() == tc_train_step(clean, batch)[1].tobytes()
         assert _state(est) == _state(clean)
+
+
+def _scratch_bytes(est) -> int:
+    """Bytes of the distinct arrays the terms' nets hold besides the
+    estimator's parameter and gradient vectors, each counted once at its base."""
+    bases, visited = {}, set()
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            bases[id(obj)] = obj
+        elif isinstance(obj, dict):
+            for item in obj.values():
+                walk(item)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                walk(item)
+        elif hasattr(obj, "__dict__") and id(obj) not in visited:
+            visited.add(id(obj))
+            walk(vars(obj))
+
+    for term in est.terms:
+        walk(term.net)
+    return sum(a.nbytes for key, a in bases.items() if key not in (id(est.theta), id(est.grad)))
+
+
+CRITIC_KINDS = [MiEstimatorKind.MINE, MiEstimatorKind.NWJ, MiEstimatorKind.INFONCE]
+
+
+class TestActivationScratch:
+    @pytest.mark.parametrize("path", list(PathKind))
+    @pytest.mark.parametrize("kind", CRITIC_KINDS)
+    def test_critic_terms_share_one_hidden_buffer(self, kind, path):
+        est = make_tc_estimator(build_plan(4, path), kind, seed=0)
+        rng = np.random.default_rng(0)
+        hidden = [t.net.forward(rng.standard_normal((5, t.net.in_dim)))[1].hidden for t in est.terms]
+        assert all(np.shares_memory(hidden[0], h) for h in hidden[1:])
+
+    @pytest.mark.parametrize("path", list(PathKind))
+    def test_club_heads_keep_their_own(self, path):
+        est = make_tc_estimator(build_plan(4, path), MiEstimatorKind.CLUB, seed=0)
+        rng = np.random.default_rng(0)
+        for t in est.terms:
+            u, v = rng.standard_normal((5, t.u_dim)), rng.standard_normal((5, t.v_dim))
+            cache = cond_gaussian_forward(t.net, u, v)
+            assert not np.shares_memory(cache.mu_cache.hidden, cache.logvar_cache.hidden)
+            assert not np.shares_memory(cache.mu_cache.x, cache.logvar_cache.x)
+
+    @pytest.mark.parametrize("path", list(PathKind))
+    @pytest.mark.parametrize("kind", CRITIC_KINDS)
+    def test_footprint_after_a_step(self, kind, path):
+        # one (20, 4096) activation buffer and one (w + 1, 4096) input buffer
+        # per distinct input width w, in float64, for the 64 * 64 pair grid
+        est = make_tc_estimator(build_plan(4, path), kind, seed=0)
+        tc_train_step(est, sample(equicorrelated_sigma(4, 0.5), 64, np.random.default_rng(1)))
+        widths = {t.net.in_dim for t in est.terms}
+        assert _scratch_bytes(est) <= 8 * 4096 * (20 + sum(w + 1 for w in widths))

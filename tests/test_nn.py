@@ -118,8 +118,9 @@ class TestMlpBackward:
 
         def loss_grad_sig():
             out, cache = net.forward(x)
+            sig = np.packbits(cache.hidden > 0).tobytes()
             net.backward(cache, weights)
-            return float((out * weights).sum()), net.grad, np.packbits(cache.hidden > 0).tobytes()
+            return float((out * weights).sum()), net.grad, sig
 
         assert fd_report(LossProbe("mlp", net.theta, loss_grad_sig)).worst_raw < 1e-4
 
@@ -138,6 +139,40 @@ class TestMlpBackward:
         _, cache = other.forward(rng.standard_normal((2, 3)))
         with pytest.raises(ParameterError):
             net.backward(cache, np.zeros((2, 1)))
+
+    def test_backward_consumes_its_cache(self):
+        rng = np.random.default_rng(20)
+        net = Mlp.initialize(2, 4, 1, rng)
+        _, cache = net.forward(rng.standard_normal((3, 2)))
+        net.backward(cache, np.ones((3, 1)))
+        with pytest.raises(ParameterError, match="stale"):
+            net.backward(cache, np.ones((3, 1)))
+
+    def test_sibling_forward_on_a_shared_scratch_makes_the_cache_stale(self):
+        rng = np.random.default_rng(21)
+        net, sibling = Mlp.initialize(2, 4, 1, rng), Mlp.initialize(3, 4, 1, rng)
+        sibling.scratch = net.scratch
+        _, cache = net.forward(rng.standard_normal((3, 2)))
+        sibling.forward(rng.standard_normal((3, 3)))
+        with pytest.raises(ParameterError, match="stale"):
+            net.backward(cache, np.zeros((3, 1)))
+
+    def test_another_nets_forward_leaves_a_private_cache_valid(self):
+        rng = np.random.default_rng(21)
+        net, other = Mlp.initialize(2, 4, 1, rng), Mlp.initialize(2, 4, 1, rng)
+        _, cache = net.forward(rng.standard_normal((3, 2)))
+        other.forward(rng.standard_normal((3, 2)))
+        net.backward(cache, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    def test_backward_writes_the_relu_mask_over_hidden(self, out_dim):
+        rng = np.random.default_rng(22)
+        net = Mlp.initialize(3, 6, out_dim, rng)
+        _, cache = net.forward(rng.standard_normal((10, 3)))
+        before = cache.hidden.copy()
+        assert (before == 0).any() and (before > 0).any()
+        net.backward(cache, rng.standard_normal((10, out_dim)))
+        assert np.array_equal(cache.hidden, (before > 0).astype(float))
 
 
 def plain_mlp(net, x, dout):
@@ -413,9 +448,10 @@ class TestGradientCheck:
 
         def loss_grad_sig():
             out, cache = net.forward(x)
+            sig = np.packbits(cache.hidden > 0).tobytes()
             net.backward(cache, weights)
             moved = np.concatenate([part.ravel() for part in split(net, net.grad)])
-            return float((out * weights).sum()), moved, np.packbits(cache.hidden > 0).tobytes()
+            return float((out * weights).sum()), moved, sig
 
         report = fd_report(LossProbe("mlp", net.theta, loss_grad_sig))
         assert report.worst_checked > 1e-2
