@@ -106,6 +106,11 @@ class TcEstimator:
     term by term, and each term's ``net.theta`` and ``net.grad`` are slices
     of ``theta`` and ``grad``. One Adam step per batch, with the state
     ``adam``, updates all terms at once.
+
+    ``left_cols[k]`` and ``right_cols[k]`` index term k's sides in a batch's
+    columns: a ``slice`` where the side's columns form one contiguous range,
+    as in every plan :func:`build_plan` makes, so the term reads a view of
+    the batch; an index array otherwise, which copies.
     """
 
     plan: DecompositionPlan
@@ -114,8 +119,8 @@ class TcEstimator:
     theta: np.ndarray = field(repr=False)
     grad: np.ndarray = field(repr=False)
     adam: AdamState = field(repr=False)
-    left_cols: list[np.ndarray] = field(repr=False)
-    right_cols: list[np.ndarray] = field(repr=False)
+    left_cols: list[slice | np.ndarray] = field(repr=False)
+    right_cols: list[slice | np.ndarray] = field(repr=False)
     width: int
 
     @property
@@ -146,16 +151,19 @@ def make_tc_estimator(
         raise ParameterError("every variable block must have positive width")
     offsets = np.concatenate(([0], np.cumsum(dims)))
 
-    def columns(subset: IndexSet) -> np.ndarray:
-        return np.concatenate(
+    def columns(subset: IndexSet) -> slice | np.ndarray:
+        cols = np.concatenate(
             [np.arange(offsets[p], offsets[p + 1]) for p in subset.positions()]
         )
+        if cols[-1] - cols[0] + 1 == cols.size:  # strictly increasing, so one range
+            return slice(int(cols[0]), int(cols[-1]) + 1)
+        return cols
 
     rng = np.random.default_rng(seed)
     left_cols = [columns(term.left) for term in plan.terms]
     right_cols = [columns(term.right) for term in plan.terms]
     terms = [
-        create_term_estimator(kind, len(lcols), len(rcols), rng, hidden)
+        create_term_estimator(kind, _width(lcols), _width(rcols), rng, hidden)
         for lcols, rcols in zip(left_cols, right_cols)
     ]
     theta, grad = pack_parameters([t.net for t in terms])
@@ -176,9 +184,14 @@ def make_tc_estimator(
     )
 
 
+def _width(cols: slice | np.ndarray) -> int:
+    return cols.stop - cols.start if isinstance(cols, slice) else cols.size
+
+
 def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.ndarray]:
     """(sum, per-term values) of ``term_fn(term estimator, u, v)`` on each
-    term's columns of the batch; a TrainingError is tagged with its term.
+    term's columns of the batch, views of it where the columns are one range;
+    a TrainingError is tagged with its term.
 
     The callers pass ``train_step`` or ``evaluate`` as this module binds it
     at call time, so rebinding either name (as a tracer does) sees every call.
@@ -193,7 +206,7 @@ def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.
         except TrainingError as exc:
             exc.term = k
             raise
-    return float(np.sum(values)), values
+    return float(np.add.reduce(values)), values
 
 
 def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:

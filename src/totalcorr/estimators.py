@@ -164,11 +164,12 @@ def _mine_surrogate(
     """
     n = scores.shape[0]
     log_ema = math.log(ema_denominator)
-    scaled = np.exp(scores - log_ema) * _offdiag(n)
+    scaled = np.exp(scores - log_ema)
+    np.fill_diagonal(scaled, 0.0)  # the joint pairs, excluded even where e^score overflows
     loss = -float(np.add.reduce(scores.diagonal()) / n) + float(
         np.add.reduce(scaled, axis=None)
     ) / (n * (n - 1))
-    grad = scaled / (n * (n - 1))
+    grad = np.divide(scaled, n * (n - 1), out=scaled)
     np.fill_diagonal(grad, -1.0 / n)
     return loss, grad
 
@@ -183,7 +184,7 @@ def nwj_bound(
     value = float(np.add.reduce(scores.diagonal()) / n) - float(np.add.reduce(off) / off.size)
     if value_only:
         return value
-    grad = marg / (n * (n - 1))
+    grad = np.divide(marg, n * (n - 1), out=marg)
     np.fill_diagonal(grad, -1.0 / n)
     return value, -value, grad, ema
 
@@ -200,8 +201,8 @@ def infonce_bound(
     value = float(np.add.reduce(scores.diagonal() - logsumexp) / n) + math.log(n)
     if value_only:
         return value
-    grad = expd / rowsum[:, None]
-    grad[np.diag_indices(n)] -= 1.0
+    grad = np.divide(expd, rowsum[:, None], out=expd)
+    grad.flat[:: n + 1] -= 1.0
     grad /= n
     return value, -value, grad, ema
 

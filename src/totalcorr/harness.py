@@ -19,8 +19,6 @@ import traceback
 import typing
 import warnings
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -356,6 +354,10 @@ def _pool_outcomes(config: ExperimentConfig, combos: list, jobs: int) -> list:
     is run once more, alone in a fresh one-worker pool, so only a run whose
     own worker dies again stays failed.
     """
+    # imported here: it pulls in multiprocessing, which a sequential run
+    # never uses, at a cost of tens of milliseconds on every import
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(combos))) as pool:
         futures = [pool.submit(_run_single, config, e, p) for e, p in combos]
         outcomes = [_outcome(f.result) for f in futures]

@@ -76,10 +76,16 @@ class Mlp:
     make the work on a large batch contiguous matmuls and in-place passes.
     forward copies its input into the buffer unless the caller wrote it there
     through :meth:`input_buffer`, as the critic's pair grid does. backward
-    reads the activations for ``dw2``, then writes the ReLU mask
-    ``hidden > 0`` over them in place and uses that, so no second
-    (hidden, rows) array exists. A backward consumes its cache: backward
-    accepts only the cache of the scratch's latest forward, once.
+    writes the ReLU mask ``hidden > 0`` over the activations in place and
+    uses that, so no second (hidden, rows) array exists. With one output, as
+    in the critics, it first takes G = mask @ (x_aug * dout)^T, the
+    first-layer block's gradient up to the factor ``w2``; as
+    relu(pre) = mask * (w1b1 @ x_aug), the output weights' gradient is
+    dw2_k = sum_c w1b1[k, c] * G[k, c], a (hidden, in_dim + 1) product, so
+    the activations are read once, for the mask. That takes ``w1b1`` as the
+    forward used it. With more outputs backward reads the activations for
+    ``dw2`` before it writes the mask. A backward consumes its cache:
+    backward accepts only the cache of the scratch's latest forward, once.
 
     Nets that never hold two live caches at once may share one scratch,
     assigned to each as ``scratch``. The critics of a ``TcEstimator``'s terms
@@ -194,18 +200,21 @@ class Mlp:
         if dout.shape != (rows, self.out_dim):
             raise ParameterError("output gradient does not match the cached batch")
         self.scratch.token += 1
-        np.matmul(dout.T, hidden.T, out=self.dw2)
         dout.sum(axis=0, out=self.db2)
-        # 0/1 float mask over the activations, which dw2 has used:
-        # relu'(pre) with the subgradient at 0 defined as 0
-        mask = np.greater(hidden, 0.0, out=hidden)
         if self.out_dim == 1:
+            # relu'(pre) as a 0/1 float mask, the subgradient at 0 defined as 0
+            mask = np.greater(hidden, 0.0, out=hidden)
             # dpre = w2^T dout^T * mask factorizes through the scalar output:
-            # one matmul mask @ (x_aug * dout)^T gives the whole first-layer
-            # block, bias column included, up to the factor w2, applied after
+            # one matmul G = mask @ (x_aug * dout)^T gives the whole first-layer
+            # block, bias column included, up to the factor w2, applied last.
+            # As relu(pre) = mask * (w1b1 @ x_aug), dw2_k = sum_c w1b1[k, c] G[k, c],
+            # so dw2 comes from G, not from another pass over the activations
             np.matmul(mask, (x_aug * dout.T).T, out=self.dw1b1)
+            np.add.reduce(self.w1b1 * self.dw1b1, axis=1, out=self.dw2[0])
             self.dw1b1 *= self.w2[0][:, None]
         else:
+            np.matmul(dout.T, hidden.T, out=self.dw2)
+            mask = np.greater(hidden, 0.0, out=hidden)
             dpre = self.w2.T @ dout.T
             dpre *= mask
             np.matmul(dpre, x_aug[:-1].T, out=self.dw1b1[:, :-1])

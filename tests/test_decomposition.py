@@ -15,6 +15,7 @@ from totalcorr.decomposition import (
     DecompositionPlan,
     MiTerm,
     PathKind,
+    _each_term,
     build_plan,
     closed_form_plan_sum,
     make_tc_estimator,
@@ -384,3 +385,64 @@ class TestActivationScratch:
         tc_train_step(est, sample(equicorrelated_sigma(4, 0.5), 64, np.random.default_rng(1)))
         widths = {t.net.in_dim for t in est.terms}
         assert _scratch_bytes(est) <= 8 * 4096 * (20 + sum(w + 1 for w in widths))
+
+
+def _explicit_columns(est) -> None:
+    """Replace the estimator's column slices with the index arrays they stand for."""
+    for cols in (est.left_cols, est.right_cols):
+        cols[:] = [np.arange(est.width)[c] for c in cols]
+
+
+class TestColumnViews:
+    @pytest.mark.parametrize(
+        "plan, dims",
+        [
+            (build_plan(4, PathKind.TREE), None),
+            (build_plan(4, PathKind.LINE), None),
+            (build_plan(3, PathKind.TREE), [2, 1, 3]),
+        ],
+        ids=["TREE", "LINE", "TREE-dims-2-1-3"],
+    )
+    def test_terms_read_views_of_the_batch(self, plan, dims):
+        est = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=0, dims=dims)
+        batch = np.random.default_rng(2).standard_normal((6, est.width))
+        seen = []
+        _each_term(est, batch, lambda term, u, v: seen.append((u, v)) or 0.0)
+        offsets = np.cumsum([0] + (dims or [1] * plan.n))
+
+        def columns(side):
+            return [c for i in side.indices for c in range(offsets[i - 1], offsets[i])]
+
+        assert len(seen) == est.n_terms
+        for term, (u, v) in zip(plan.terms, seen):
+            assert np.shares_memory(u, batch) and np.shares_memory(v, batch)
+            assert np.array_equal(u, batch[:, columns(term.left)])
+            assert np.array_equal(v, batch[:, columns(term.right)])
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind), ids=lambda k: k.value)
+    def test_non_contiguous_sides_match_explicit_copies(self, kind):
+        # sides {1, 3} and {2, 4} are no single range of columns, so they stay
+        # index arrays; the single-variable sides become slices
+        plan = DecompositionPlan(
+            n=4,
+            kind=PathKind.TREE,
+            terms=(
+                MiTerm(IndexSet.of(1, 3), IndexSet.of(2, 4)),
+                MiTerm(IndexSet.of(1), IndexSet.of(3)),
+                MiTerm(IndexSet.of(2), IndexSet.of(4)),
+            ),
+        )
+        est = make_tc_estimator(plan, kind, seed=4, lr=1e-3)
+        assert not isinstance(est.left_cols[0], slice) and isinstance(est.left_cols[1], slice)
+        explicit = make_tc_estimator(plan, kind, seed=4, lr=1e-3)
+        _explicit_columns(explicit)
+        model = equicorrelated_sigma(4, 0.6)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            batch = sample(model, 16, rng)
+            got = tc_train_step(est, batch)
+            assert got[1].tobytes() == tc_train_step(explicit, batch)[1].tobytes()
+            assert np.isfinite(got[1]).all()
+        batch = sample(model, 16, rng)
+        assert tc_evaluate(est, batch)[1].tobytes() == tc_evaluate(explicit, batch)[1].tobytes()
+        assert est.theta.tobytes() == explicit.theta.tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,21 @@ class TestMineValue:
         v = rng.standard_normal((8, 1))
         probe = critic_probe("MINE", critic, u, v, lambda s: _mine_surrogate(s, 1.7))
         assert fd_report(probe).worst_raw < 1e-4
+
+    def test_surrogate_ignores_an_overflowing_joint_score(self):
+        # e^800 overflows on the diagonal, which the loss excludes: the loss
+        # stays finite, and no inf * 0 makes a NaN
+        n, ema = 4, 1.7
+        s = np.zeros((n, n))
+        s[0, 0] = 800.0
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            loss, grad = _mine_surrogate(s, ema)
+        off = ~np.eye(n, dtype=bool)
+        want = -np.mean(np.diag(s)) + np.sum(np.exp(s[off])) / (ema * n * (n - 1))
+        assert math.isfinite(loss) and loss == pytest.approx(want, rel=1e-15)
+        assert np.allclose(np.diag(grad), -1.0 / n)
+        assert np.allclose(grad[off], np.exp(s[off]) / (ema * n * (n - 1)), rtol=1e-15)
 
     def test_ema_underflow_raises(self):
         # scores of -900 everywhere; the floor is checked by training only

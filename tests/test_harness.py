@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import dataclasses
 import math
 import multiprocessing
@@ -481,7 +482,7 @@ class TestRunExperiment:
         # a forked pool starts all its workers up front, so it is sized to the runs
         cfg = tiny_config(estimators=kinds)
         sequential = run_experiment(cfg)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _InlineExecutor)
         monkeypatch.setattr(_InlineExecutor, "sizes", [])
         result = run_experiment(cfg, jobs=jobs)
         assert _InlineExecutor.sizes == [workers]

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totalcorr.diagnostics import LossProbe, fd_report
 from totalcorr.errors import ParameterError, TrainingError
@@ -173,6 +175,34 @@ class TestMlpBackward:
         assert (before == 0).any() and (before > 0).any()
         net.backward(cache, rng.standard_normal((10, out_dim)))
         assert np.array_equal(cache.hidden, (before > 0).astype(float))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        in_dim=st.integers(1, 4),
+        hidden_dim=st.integers(1, 8),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+    )
+    def test_output_weight_gradient_from_the_first_layer_product(
+        self, in_dim, hidden_dim, rows, seed, grid
+    ):
+        # dw2 comes from w1b1 * G, not from the activations: compare it with
+        # dout^T relu^T, relu read before backward. With grid=True every
+        # weight, bias and input is a small integer, so many pre-activations
+        # are exactly 0, where the mask and relu are both 0
+        rng = np.random.default_rng(seed)
+        draw = (lambda shape: rng.integers(-2, 3, shape).astype(float)) if grid else rng.standard_normal
+        net = Mlp(draw((hidden_dim, in_dim)), draw(hidden_dim), draw((1, hidden_dim)), draw(1))
+        x, dout = draw((rows, in_dim)), rng.standard_normal((rows, 1))
+        _, cache = net.forward(x)
+        relu, x_aug = cache.hidden.copy(), cache.x.copy()
+        net.backward(cache, dout)
+        want = dout.T @ relu.T
+        # rounding is relative to the sum of magnitudes, which cancellation
+        # in dout can make much larger than |want|
+        scale = np.abs(dout).T @ ((relu > 0) * (np.abs(net.w1b1) @ np.abs(x_aug))).T
+        assert np.all(np.abs(net.dw2 - want) <= 1e-12 * scale)
 
 
 def plain_mlp(net, x, dout):
