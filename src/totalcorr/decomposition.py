@@ -105,7 +105,9 @@ class TcEstimator:
     The estimator owns the vectors: ``theta`` holds every term's parameters,
     term by term, and each term's ``net.theta`` and ``net.grad`` are slices
     of ``theta`` and ``grad``. One Adam step per batch, with the state
-    ``adam``, updates all terms at once.
+    ``adam``, updates all terms at once. The critics of MINE, NWJ and
+    InfoNCE terms share one float32 activation scratch (see ``nn.Mlp``);
+    ``theta``, ``grad``, the scores and the bounds stay float64.
 
     ``left_cols[k]`` and ``right_cols[k]`` index term k's sides in a batch's
     columns: a ``slice`` where the side's columns form one contiguous range,
@@ -168,7 +170,7 @@ def make_tc_estimator(
     ]
     theta, grad = pack_parameters([t.net for t in terms])
     if kind is not MiEstimatorKind.CLUB:
-        scratch = MlpScratch()
+        scratch = MlpScratch(dtype=np.float32)
         for term in terms:
             term.net.scratch = scratch
     return TcEstimator(

@@ -164,8 +164,11 @@ def _mine_surrogate(
     """
     n = scores.shape[0]
     log_ema = math.log(ema_denominator)
-    scaled = np.exp(scores - log_ema)
-    np.fill_diagonal(scaled, 0.0)  # the joint pairs, excluded even where e^score overflows
+    scaled = scores - log_ema
+    # the joint pairs drop out as e^-inf = 0, so a joint score whose e^score
+    # would overflow neither warns nor makes an inf
+    np.fill_diagonal(scaled, -np.inf)
+    np.exp(scaled, out=scaled)
     loss = -float(np.add.reduce(scores.diagonal()) / n) + float(
         np.add.reduce(scaled, axis=None)
     ) / (n * (n - 1))

@@ -3,8 +3,11 @@
 A single-hidden-layer ReLU MLP with hand-written reverse-mode gradients, a
 conditional diagonal-Gaussian density head, and the Adam update on one flat
 parameter vector ``theta``, read with the gradient vector ``grad`` that
-backward fills in the same layout. Everything is plain float64 numpy and is
-bit-deterministic given identical seeds and call order.
+backward fills in the same layout. Parameters, gradients, outputs and Adam
+are float64 numpy; a net's activations, and the arithmetic on them, take the
+dtype of its scratch: float32 for the critics of a MINE, NWJ or InfoNCE TC
+estimator, float64 for every other net. Everything is bit-deterministic given
+identical seeds and call order.
 """
 
 from __future__ import annotations
@@ -53,11 +56,15 @@ class MlpScratch:
     last row ones, and its (rows, in_dim) view without that row; ``hidden``
     maps (hidden_dim, rows) to the (hidden_dim, rows) activation buffer.
     ``token`` counts the forwards and the backwards of every net on it.
+    ``dtype`` is the buffers' float type, and the type of the arithmetic of
+    the forwards and backwards on them; parameters, gradients and outputs
+    stay float64.
     """
 
     inputs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     hidden: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     token: int = 0
+    dtype: type[np.floating] = np.float64
 
 
 class Mlp:
@@ -74,27 +81,32 @@ class Mlp:
     matmul with the block gives the pre-activations, bias included, and a
     (hidden, rows) buffer for the hidden activations. Feature-major arrays
     make the work on a large batch contiguous matmuls and in-place passes.
-    forward copies its input into the buffer unless the caller wrote it there
-    through :meth:`input_buffer`, as the critic's pair grid does. backward
-    writes the ReLU mask ``hidden > 0`` over the activations in place and
-    uses that, so no second (hidden, rows) array exists. With one output, as
-    in the critics, it first takes G = mask @ (x_aug * dout)^T, the
-    first-layer block's gradient up to the factor ``w2``; as
-    relu(pre) = mask * (w1b1 @ x_aug), the output weights' gradient is
-    dw2_k = sum_c w1b1[k, c] * G[k, c], a (hidden, in_dim + 1) product, so
+    The buffers have the scratch's dtype: forward casts ``w1b1`` and ``w2``
+    to it once per call and returns float64 outputs, and backward takes G
+    (below) in it and casts it as it writes it into the float64 gradient.
+    forward copies its input into the buffer, cast as it is written, unless
+    the caller wrote it there through :meth:`input_buffer`, as the critic's
+    pair grid does. backward writes the ReLU mask ``hidden > 0`` over the
+    activations in place and uses that, so no second (hidden, rows) array
+    exists. With one output, as in the critics, it first takes
+    G = mask @ (x_aug * dout)^T, the first-layer block's gradient up to the
+    factor ``w2``; as relu(pre) = mask * (w1b1 @ x_aug), the output
+    weights' gradient is dw2_k = sum_c w1b1[k, c] * G[k, c], a (hidden, in_dim + 1) product, so
     the activations are read once, for the mask. That takes ``w1b1`` as the
-    forward used it. With more outputs backward reads the activations for
-    ``dw2`` before it writes the mask. A backward consumes its cache:
-    backward accepts only the cache of the scratch's latest forward, once.
+    forward used it, cast to the scratch's dtype. With more outputs backward
+    reads the activations for ``dw2`` before it writes the mask. A backward
+    consumes its cache: backward accepts only the cache of the scratch's
+    latest forward, once.
 
     Nets that never hold two live caches at once may share one scratch,
     assigned to each as ``scratch``. The critics of a ``TcEstimator``'s terms
     do, as each term runs its forward and backward before the next term's
-    forward; their scratch is one (20, 4096) activation buffer and one input
-    buffer per input width at N = 64, 0.92 to 1.05 MB instead of 4.3 MB with
-    a private scratch and mask per critic, so it stays in a 2 MB L2 cache
-    from term to term. Every net starts with a scratch of its own, and the
-    two heads of a :class:`CondGaussianHead` keep theirs:
+    forward; their scratch is float32, one (20, 4096) activation buffer and
+    one input buffer per input width at N = 64, 0.46 to 0.52 MB instead of
+    4.3 MB with a private float64 scratch and mask per critic, so it stays
+    in a 2 MB L2 cache from term to term, and each pass over it takes about
+    half its float64 time. Every net starts with a float64 scratch of its
+    own, and the two heads of a :class:`CondGaussianHead` keep theirs:
     :func:`cond_gaussian_forward` holds both heads' caches until both
     backwards. The buffers are kept rather than freed because glibc's malloc
     hands arrays of this size back to the OS and page-faults them in again
@@ -160,12 +172,14 @@ class Mlp:
         its (rows, in_dim) view without it, and the (hidden_dim, rows) array."""
         inputs = self.scratch.inputs.get((self.in_dim, rows))
         if inputs is None:
-            x_aug = np.empty((self.in_dim + 1, rows))
+            x_aug = np.empty((self.in_dim + 1, rows), dtype=self.scratch.dtype)
             x_aug[-1] = 1.0
             inputs = self.scratch.inputs[self.in_dim, rows] = (x_aug, x_aug[:-1].T)
         hidden = self.scratch.hidden.get((self.hidden_dim, rows))
         if hidden is None:
-            hidden = self.scratch.hidden[self.hidden_dim, rows] = np.empty((self.hidden_dim, rows))
+            hidden = self.scratch.hidden[self.hidden_dim, rows] = np.empty(
+                (self.hidden_dim, rows), dtype=self.scratch.dtype
+            )
         return *inputs, hidden
 
     def input_buffer(self, rows: int) -> np.ndarray:
@@ -175,7 +189,9 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
         """(rows, out_dim) outputs of the (rows, in_dim) batch ``x``, and the cache."""
-        x = np.asarray(x, dtype=np.float64)
+        # no float64 copy: a batch already in the input buffer is used there,
+        # any other is cast to the scratch's dtype as it is written in
+        x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ParameterError(
                 f"input must be (batch, {self.in_dim}), got {x.shape}"
@@ -183,9 +199,11 @@ class Mlp:
         x_aug, x_view, hidden = self._buffers(x.shape[0])
         if x is not x_view:
             x_view[...] = x
-        np.matmul(self.w1b1, x_aug, out=hidden)
+        dt = x_aug.dtype
+        np.matmul(self.w1b1.astype(dt, copy=False), x_aug, out=hidden)
         np.maximum(hidden, 0.0, out=hidden)
-        out = (self.w2 @ hidden).T + self.b2
+        # float64 outputs: the bias is added in float64
+        out = (self.w2.astype(dt, copy=False) @ hidden).T + self.b2
         self.scratch.token += 1
         return out, MlpCache(x=x_aug, hidden=hidden, owner=self, token=self.scratch.token)
 
@@ -208,9 +226,13 @@ class Mlp:
             # one matmul G = mask @ (x_aug * dout)^T gives the whole first-layer
             # block, bias column included, up to the factor w2, applied last.
             # As relu(pre) = mask * (w1b1 @ x_aug), dw2_k = sum_c w1b1[k, c] G[k, c],
-            # so dw2 comes from G, not from another pass over the activations
-            np.matmul(mask, (x_aug * dout.T).T, out=self.dw1b1)
-            np.add.reduce(self.w1b1 * self.dw1b1, axis=1, out=self.dw2[0])
+            # so dw2 comes from G, not from another pass over the activations.
+            # G is taken in the scratch's dtype and cast as it is written into
+            # dw1b1: a float64 (x_aug * dout) would make numpy run the float64 matmul
+            dt = x_aug.dtype
+            np.matmul(mask, np.multiply(x_aug, dout.T, dtype=dt).T, out=self.dw1b1)
+            w1b1 = self.w1b1.astype(dt, copy=False)  # as forward used it
+            np.add.reduce(w1b1 * self.dw1b1, axis=1, out=self.dw2[0])
             self.dw1b1 *= self.w2[0][:, None]
         else:
             np.matmul(dout.T, hidden.T, out=self.dw2)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 
@@ -9,6 +10,7 @@ from totalcorr import (
     ParameterError,
     equicorrelated_sigma,
     random_correlation,
+    solve_rho_for_tc,
     tc_closed_form,
 )
 from totalcorr.decomposition import (
@@ -22,10 +24,11 @@ from totalcorr.decomposition import (
     tc_evaluate,
     tc_train_step,
 )
+from totalcorr.diagnostics import make_loss_probes
 from totalcorr.errors import TrainingError
-from totalcorr.estimators import MiEstimatorKind
+from totalcorr.estimators import MiEstimatorKind, create_term_estimator
 from totalcorr.gaussian import sample
-from totalcorr.nn import Mlp, cond_gaussian_forward
+from totalcorr.nn import CondGaussianHead, Mlp, MlpScratch, cond_gaussian_forward
 
 
 def plan_as_tuples(plan: DecompositionPlan):
@@ -380,11 +383,65 @@ class TestActivationScratch:
     @pytest.mark.parametrize("kind", CRITIC_KINDS)
     def test_footprint_after_a_step(self, kind, path):
         # one (20, 4096) activation buffer and one (w + 1, 4096) input buffer
-        # per distinct input width w, in float64, for the 64 * 64 pair grid
+        # per distinct input width w, in float32, for the 64 * 64 pair grid
         est = make_tc_estimator(build_plan(4, path), kind, seed=0)
         tc_train_step(est, sample(equicorrelated_sigma(4, 0.5), 64, np.random.default_rng(1)))
         widths = {t.net.in_dim for t in est.terms}
-        assert _scratch_bytes(est) <= 8 * 4096 * (20 + sum(w + 1 for w in widths))
+        assert _scratch_bytes(est) <= 4 * 4096 * (20 + sum(w + 1 for w in widths))
+
+    @pytest.mark.parametrize("kind", CRITIC_KINDS)
+    def test_critic_scratch_is_float32(self, kind):
+        est = make_tc_estimator(build_plan(4, PathKind.TREE), kind, seed=0)
+        assert all(t.net.scratch.dtype == np.float32 for t in est.terms)
+        pairs = est.terms[0].net.input_buffer(64 * 64)
+        assert pairs.dtype == np.float32
+
+    def test_every_other_net_keeps_float64(self):
+        rng = np.random.default_rng(0)
+        club = make_tc_estimator(build_plan(4, PathKind.LINE), MiEstimatorKind.CLUB, seed=0)
+        nets = [h for t in club.terms for h in (t.net.mu_net, t.net.logvar_net)]
+        nets += [create_term_estimator(kind, 2, 1, rng).net for kind in CRITIC_KINDS]
+        for probe in make_loss_probes(rng):
+            found = inspect.getclosurevars(probe.loss_grad_sig).nonlocals
+            net = found["critic"] if "critic" in found else found["head"]
+            nets += [net.mu_net, net.logvar_net] if isinstance(net, CondGaussianHead) else [net]
+        assert len(nets) == 2 * 3 + 3 + 3 + 2
+        assert all(net.scratch.dtype == np.float64 for net in nets)
+
+
+# float32 activations against float64 ones on the same parameters and batch:
+# the values differ by about 3e-8 and the gradient by under 1e-6 of its
+# largest entry (TREE and LINE, the three critic kinds)
+VALUE_RTOL, VALUE_ATOL = 1e-6, 1e-6
+GRAD_RTOL, GRAD_ATOL_OF_MAX = 1e-4, 1e-5
+
+
+class TestFloat32Activations:
+    @pytest.mark.parametrize("path", list(PathKind))
+    @pytest.mark.parametrize("kind", CRITIC_KINDS)
+    def test_value_and_grad_match_float64(self, kind, path):
+        plan = build_plan(4, path)
+        est32 = make_tc_estimator(plan, kind, seed=3, lr=1e-2)
+        est64 = make_tc_estimator(plan, kind, seed=3, lr=1e-2)
+        scratch64 = MlpScratch()
+        for term in est64.terms:
+            term.net.scratch = scratch64
+        model = equicorrelated_sigma(4, solve_rho_for_tc(4, 2.0))
+        rng = np.random.default_rng(4)
+        # move the parameters and MINE's moving average off their start
+        for _ in range(50):
+            tc_train_step(est64, sample(model, 64, rng))
+        est32.theta[...] = est64.theta
+        for t32, t64 in zip(est32.terms, est64.terms):
+            t32.ema_denominator = t64.ema_denominator
+        batch = sample(model, 64, rng)
+        for step in (tc_evaluate, tc_train_step):
+            np.testing.assert_allclose(
+                step(est32, batch)[1], step(est64, batch)[1], rtol=VALUE_RTOL, atol=VALUE_ATOL
+            )
+        atol = GRAD_ATOL_OF_MAX * np.max(np.abs(est64.grad))
+        np.testing.assert_allclose(est32.grad, est64.grad, rtol=GRAD_RTOL, atol=atol)
+        assert est32.grad.dtype == np.float64 and est32.theta.dtype == np.float64
 
 
 def _explicit_columns(est) -> None:

@@ -127,17 +127,21 @@ class TestMineValue:
         assert fd_report(probe).worst_raw < 1e-4
 
     def test_surrogate_ignores_an_overflowing_joint_score(self):
-        # e^800 overflows on the diagonal, which the loss excludes: the loss
-        # stays finite, and no inf * 0 makes a NaN
+        # e^800 would overflow on the diagonal, which the loss excludes: the
+        # diagonal is never exponentiated, so nothing warns, the loss stays
+        # finite, and no inf * 0 makes a NaN
         n, ema = 4, 1.7
         s = np.zeros((n, n))
         s[0, 0] = 800.0
-        with warnings.catch_warnings(), np.errstate(over="ignore"):
-            warnings.simplefilter("error", RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             loss, grad = _mine_surrogate(s, ema)
+            value, bound_loss, bound_grad, _ = mine_bound(s, 1.0)
         off = ~np.eye(n, dtype=bool)
         want = -np.mean(np.diag(s)) + np.sum(np.exp(s[off])) / (ema * n * (n - 1))
         assert math.isfinite(loss) and loss == pytest.approx(want, rel=1e-15)
+        assert math.isfinite(value) and math.isfinite(bound_loss)
+        assert np.isfinite(grad).all() and np.isfinite(bound_grad).all()
         assert np.allclose(np.diag(grad), -1.0 / n)
         assert np.allclose(grad[off], np.exp(s[off]) / (ema * n * (n - 1)), rtol=1e-15)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +14,14 @@ from totalcorr.estimators import (
     MiEstimatorKind,
     club_bound,
     create_term_estimator,
+    pair_scores,
     train_step,
 )
 from totalcorr.nn import (
     AdamState,
     CondGaussianHead,
     Mlp,
+    MlpScratch,
     adam_step,
     cond_gaussian_forward,
     cond_gaussian_logpdf,
@@ -203,6 +206,41 @@ class TestMlpBackward:
         # in dout can make much larger than |want|
         scale = np.abs(dout).T @ ((relu > 0) * (np.abs(net.w1b1) @ np.abs(x_aug))).T
         assert np.all(np.abs(net.dw2 - want) <= 1e-12 * scale)
+
+
+class TestFloat32Scratch:
+    def test_pair_grid_in_the_buffer_is_not_copied(self):
+        # the grid is cast to float32 as pair_scores writes it, and forward
+        # reads it there: nothing on the way is as large as a float64 copy
+        rng = np.random.default_rng(30)
+        n, net = 64, Mlp.initialize(4, 20, 1, rng)
+        net.scratch = MlpScratch(dtype=np.float32)
+        u, v = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        pair_scores(net, u, v)  # the buffers exist from here on
+        tracemalloc.start()
+        try:
+            scores, cache = pair_scores(net, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * net.in_dim * np.dtype(np.float64).itemsize
+        assert np.shares_memory(cache.x, net.input_buffer(n * n))
+        assert cache.x.dtype == cache.hidden.dtype == np.float32
+        assert scores.dtype == np.float64
+        pairs = np.concatenate([np.repeat(u, n, axis=0), np.tile(v, (n, 1))], axis=1)
+        assert np.array_equal(cache.x[:-1].T, pairs.astype(np.float32))
+
+    def test_float64_and_list_batches_are_cast(self):
+        rng = np.random.default_rng(31)
+        net = Mlp.initialize(3, 8, 2, rng)
+        net.scratch = MlpScratch(dtype=np.float32)
+        x = rng.standard_normal((7, 3))
+        want, _ = Mlp(net.w1, net.b1, net.w2, net.b2).forward(x)
+        for batch in (x, x.tolist()):
+            out, cache = net.forward(batch)
+            assert out.dtype == np.float64
+            assert np.array_equal(cache.x[:-1].T, x.astype(np.float32))
+            np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
 
 
 def plain_mlp(net, x, dout):
