@@ -49,11 +49,22 @@ class MiTerm:
 
 @dataclass(frozen=True)
 class DecompositionPlan:
-    """Ordered MI terms whose sum equals the total correlation of n variables."""
+    """Ordered MI terms whose sum equals the total correlation of n variables.
+
+    Variable p, an index in 1..n, is model variable p and column p - 1 of a
+    batch. A vector-valued variable is a group of columns that every term
+    keeps on one side, so its plan is built by hand over the columns.
+    """
 
     n: int
     kind: PathKind
     terms: tuple[MiTerm, ...]
+
+    def __post_init__(self):
+        for k, term in enumerate(self.terms):
+            top = max(term.left.indices[-1], term.right.indices[-1])
+            if top > self.n:
+                raise ParameterError(f"term {k} names variable {top}, but the plan has n={self.n}")
 
 
 def _contiguous(lo: int, hi: int) -> IndexSet:
@@ -109,10 +120,10 @@ class TcEstimator:
     InfoNCE terms share one float32 activation scratch (see ``nn.Mlp``);
     ``theta``, ``grad``, the scores and the bounds stay float64.
 
-    ``left_cols[k]`` and ``right_cols[k]`` index term k's sides in a batch's
-    columns: a ``slice`` where the side's columns form one contiguous range,
-    as in every plan :func:`build_plan` makes, so the term reads a view of
-    the batch; an index array otherwise, which copies.
+    A batch has ``plan.n`` columns. ``left_cols[k]`` and ``right_cols[k]``
+    index term k's sides in them: a ``slice`` where the side's variables form
+    one contiguous range, as in every plan :func:`build_plan` makes, so the
+    term reads a view of the batch; an index array otherwise, which copies.
     """
 
     plan: DecompositionPlan
@@ -123,7 +134,6 @@ class TcEstimator:
     adam: AdamState = field(repr=False)
     left_cols: list[slice | np.ndarray] = field(repr=False)
     right_cols: list[slice | np.ndarray] = field(repr=False)
-    width: int
 
     @property
     def n_terms(self) -> int:
@@ -134,39 +144,28 @@ def make_tc_estimator(
     plan: DecompositionPlan,
     kind: MiEstimatorKind,
     seed: int | np.random.SeedSequence,
-    dims: list[int] | None = None,
     hidden: int = DEFAULT_HIDDEN,
     lr: float = DEFAULT_LR,
 ) -> TcEstimator:
     """One independent estimator per MI term, initialized from ``seed``, and
     one Adam state at learning rate ``lr`` over all their parameters.
 
-    ``dims`` gives the width of each variable's block in a batch (all scalar
-    by default); term estimators see the concatenation of their blocks.
+    Term k reads the batch columns ``p - 1`` of its sides' variables p, so
+    its estimator has input widths ``len(term.left)`` and ``len(term.right)``.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ParameterError(f"lr must be positive and finite, got {lr}")
-    dims = [1] * plan.n if dims is None else list(dims)
-    if len(dims) != plan.n:
-        raise ParameterError(f"dims must have length {plan.n}, got {len(dims)}")
-    if any(d < 1 for d in dims):
-        raise ParameterError("every variable block must have positive width")
-    offsets = np.concatenate(([0], np.cumsum(dims)))
 
     def columns(subset: IndexSet) -> slice | np.ndarray:
-        cols = np.concatenate(
-            [np.arange(offsets[p], offsets[p + 1]) for p in subset.positions()]
-        )
-        if cols[-1] - cols[0] + 1 == cols.size:  # strictly increasing, so one range
-            return slice(int(cols[0]), int(cols[-1]) + 1)
-        return cols
+        lo, hi = subset.indices[0], subset.indices[-1]
+        if hi - lo + 1 == len(subset):  # strictly increasing, so one range
+            return slice(lo - 1, hi)
+        return subset.positions()
 
     rng = np.random.default_rng(seed)
-    left_cols = [columns(term.left) for term in plan.terms]
-    right_cols = [columns(term.right) for term in plan.terms]
     terms = [
-        create_term_estimator(kind, _width(lcols), _width(rcols), rng, hidden)
-        for lcols, rcols in zip(left_cols, right_cols)
+        create_term_estimator(kind, len(term.left), len(term.right), rng, hidden)
+        for term in plan.terms
     ]
     theta, grad = pack_parameters([t.net for t in terms])
     if kind is not MiEstimatorKind.CLUB:
@@ -180,14 +179,9 @@ def make_tc_estimator(
         theta=theta,
         grad=grad,
         adam=AdamState.for_params(theta, lr=lr),
-        left_cols=left_cols,
-        right_cols=right_cols,
-        width=int(offsets[-1]),
+        left_cols=[columns(term.left) for term in plan.terms],
+        right_cols=[columns(term.right) for term in plan.terms],
     )
-
-
-def _width(cols: slice | np.ndarray) -> int:
-    return cols.stop - cols.start if isinstance(cols, slice) else cols.size
 
 
 def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.ndarray]:
@@ -199,8 +193,8 @@ def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.
     at call time, so rebinding either name (as a tracer does) sees every call.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != est.width:
-        raise ParameterError(f"batch must be (N, {est.width}), got {batch.shape}")
+    if batch.ndim != 2 or batch.shape[1] != est.plan.n:
+        raise ParameterError(f"batch must be (N, {est.plan.n}), got {batch.shape}")
     values = np.empty(est.n_terms)
     for k, term_est in enumerate(est.terms):
         try:

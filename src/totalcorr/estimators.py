@@ -182,7 +182,10 @@ def nwj_bound(
 ) -> tuple[float, float, np.ndarray, float] | float:
     """f-divergence form: mean joint score minus mean marginal e^(score-1)."""
     n = scores.shape[0]
-    marg = np.exp(scores - 1.0)
+    marg = scores - 1.0
+    # e^-inf = 0 on the joint pairs, which no result uses: no overflow warning
+    np.fill_diagonal(marg, -np.inf)
+    np.exp(marg, out=marg)
     off = marg[_offdiag(n)]
     value = float(np.add.reduce(scores.diagonal()) / n) - float(np.add.reduce(off) / off.size)
     if value_only:

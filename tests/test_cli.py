@@ -2,11 +2,15 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import totalcorr
 from totalcorr import cli
 from totalcorr.cli import main, parse_config_file
 from totalcorr.decomposition import PathKind
@@ -404,3 +408,13 @@ class TestSelftestCommand:
         main(["selftest", "--quick"])
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_import_loads_no_process_pool():
+    # a fresh interpreter: this one has the pool modules from other tests.
+    # harness imports the pool only for jobs > 1, which a sequential run skips
+    env = {**os.environ, "PYTHONPATH": str(Path(totalcorr.__file__).parents[1])}
+    code = "import sys, totalcorr, totalcorr.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert not set(out.stdout.split()) & {"multiprocessing", "concurrent.futures.process"}

@@ -35,6 +35,19 @@ def plan_as_tuples(plan: DecompositionPlan):
     return [(t.left.indices, t.right.indices) for t in plan.terms]
 
 
+BLOCKS = (IndexSet.of(1, 2), IndexSet.of(3), IndexSet.of(4, 5, 6))
+
+
+def block_plan(kind: PathKind) -> DecompositionPlan:
+    """``build_plan(3, kind)`` over the vector variables ``BLOCKS``, written
+    as a plan over their six columns."""
+    def side(blocks: IndexSet) -> IndexSet:
+        return IndexSet(tuple(i for b in blocks.indices for i in BLOCKS[b - 1].indices))
+
+    terms = tuple(MiTerm(side(t.left), side(t.right)) for t in build_plan(3, kind).terms)
+    return DecompositionPlan(6, kind, terms)
+
+
 class TestBuildPlan:
     def test_single_variable_gives_empty_plan(self):
         assert build_plan(1, PathKind.TREE).terms == ()
@@ -131,6 +144,17 @@ class TestPlanSumIdentity:
                 closed_form_plan_sum(model, plan) - tc_closed_form(model)
             ) < 1e-9
 
+    @pytest.mark.parametrize("kind", [PathKind.TREE, PathKind.LINE])
+    def test_block_plans_sum_to_the_block_tc(self, kind):
+        # TC of the vector variables BLOCKS: 1/2 [sum_b log det S_bb - log det S]
+        rng = np.random.default_rng(29)
+        plan = block_plan(kind)
+        for _ in range(20):
+            model = random_correlation(6, rng)
+            blocks = [model.sigma[np.ix_(b.positions(), b.positions())] for b in BLOCKS]
+            block_tc = 0.5 * (sum(np.linalg.slogdet(s)[1] for s in blocks) - np.linalg.slogdet(model.sigma)[1])
+            assert closed_form_plan_sum(model, plan) == pytest.approx(block_tc, abs=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         model = equicorrelated_sigma(4, 0.5)
         with pytest.raises(ParameterError):
@@ -157,15 +181,14 @@ class TestMakeTcEstimator:
             assert np.array_equal(ta.net.theta, tb.net.theta)
 
     def test_vector_blocks(self):
-        plan = build_plan(3, PathKind.LINE)
-        est = make_tc_estimator(plan, MiEstimatorKind.MINE, seed=0, dims=[2, 1, 3])
-        assert est.width == 6
+        # the LINE path over the blocks {1, 2}, {3}, {4, 5, 6}
+        est = make_tc_estimator(block_plan(PathKind.LINE), MiEstimatorKind.MINE, seed=0)
+        assert est.plan.n == 6
         assert [t.net.in_dim for t in est.terms] == [3, 6]
 
-    def test_bad_dims_rejected(self):
-        plan = build_plan(3, PathKind.LINE)
-        with pytest.raises(ParameterError):
-            make_tc_estimator(plan, MiEstimatorKind.MINE, seed=0, dims=[1, 1])
+    def test_index_above_n_rejected(self):
+        with pytest.raises(ParameterError, match="term 0 names variable 7, but the plan has n=4"):
+            DecompositionPlan(4, PathKind.TREE, (MiTerm(IndexSet.of(1), IndexSet.of(5, 7)),))
 
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_learning_rate_rejected(self, lr):
@@ -447,28 +470,23 @@ class TestFloat32Activations:
 def _explicit_columns(est) -> None:
     """Replace the estimator's column slices with the index arrays they stand for."""
     for cols in (est.left_cols, est.right_cols):
-        cols[:] = [np.arange(est.width)[c] for c in cols]
+        cols[:] = [np.arange(est.plan.n)[c] for c in cols]
 
 
 class TestColumnViews:
     @pytest.mark.parametrize(
-        "plan, dims",
-        [
-            (build_plan(4, PathKind.TREE), None),
-            (build_plan(4, PathKind.LINE), None),
-            (build_plan(3, PathKind.TREE), [2, 1, 3]),
-        ],
-        ids=["TREE", "LINE", "TREE-dims-2-1-3"],
+        "plan",
+        [build_plan(4, PathKind.TREE), build_plan(4, PathKind.LINE), block_plan(PathKind.TREE)],
+        ids=["TREE", "LINE", "TREE-blocks-2-1-3"],
     )
-    def test_terms_read_views_of_the_batch(self, plan, dims):
-        est = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=0, dims=dims)
-        batch = np.random.default_rng(2).standard_normal((6, est.width))
+    def test_terms_read_views_of_the_batch(self, plan):
+        est = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=0)
+        batch = np.random.default_rng(2).standard_normal((6, plan.n))
         seen = []
         _each_term(est, batch, lambda term, u, v: seen.append((u, v)) or 0.0)
-        offsets = np.cumsum([0] + (dims or [1] * plan.n))
 
         def columns(side):
-            return [c for i in side.indices for c in range(offsets[i - 1], offsets[i])]
+            return [i - 1 for i in side.indices]
 
         assert len(seen) == est.n_terms
         for term, (u, v) in zip(plan.terms, seen):

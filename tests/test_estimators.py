@@ -212,6 +212,22 @@ class TestNwjValue:
         probe = critic_probe("NWJ", critic, u, v, lambda s: nwj_bound(s, 1.0)[1:3])
         assert fd_report(probe).worst_raw < 1e-4
 
+    def test_bound_ignores_an_overflowing_joint_score(self):
+        # e^(800-1) would overflow on the diagonal, whose marginal term no
+        # result uses: nothing warns and the value, loss and gradient are finite
+        n = 4
+        s = np.zeros((n, n))
+        s[0, 0] = 800.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, loss, grad, _ = nwj_bound(s, 1.0)
+            assert nwj_bound(s, 1.0, value_only=True) == value
+        off = ~np.eye(n, dtype=bool)
+        assert value == pytest.approx(np.mean(np.diag(s)) - math.exp(-1.0), rel=1e-15)
+        assert loss == -value
+        assert np.array_equal(np.diag(grad), np.full(n, -1.0 / n))
+        assert np.allclose(grad[off], math.exp(-1.0) / (n * (n - 1)), rtol=1e-15)
+
     def test_trained_value_on_correlated_gaussian(self):
         _, values = train_on_gaussian(MiEstimatorKind.NWJ)
         smoothed = float(np.mean(values[-500:]))
