@@ -9,6 +9,7 @@ line path peels one variable at a time: TC(X) = sum_i I(X_{1:i}; x_{i+1}).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -61,10 +62,22 @@ class DecompositionPlan:
     terms: tuple[MiTerm, ...]
 
     def __post_init__(self):
+        _check_n_and_kind(self.n, self.kind)
+        object.__setattr__(self, "terms", tuple(self.terms))
         for k, term in enumerate(self.terms):
+            if not isinstance(term, MiTerm):
+                raise ParameterError(f"term {k} is not an MiTerm: {term!r}")
             top = max(term.left.indices[-1], term.right.indices[-1])
             if top > self.n:
                 raise ParameterError(f"term {k} names variable {top}, but the plan has n={self.n}")
+
+
+def _check_n_and_kind(n, kind) -> None:
+    """The one rule for a plan's n, an integer >= 1 (not a bool), and its kind."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(kind, PathKind):
+        raise ParameterError(f"kind must be a PathKind, got {kind!r}")
 
 
 def _contiguous(lo: int, hi: int) -> IndexSet:
@@ -79,8 +92,7 @@ def build_plan(n: int, kind: PathKind) -> DecompositionPlan:
     emits (X_{1:i}; x_{i+1}) for i = 1..n-1. A single variable yields an
     empty plan.
     """
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    _check_n_and_kind(n, kind)
     terms: list[MiTerm] = []
     if kind is PathKind.TREE:
 
@@ -93,11 +105,9 @@ def build_plan(n: int, kind: PathKind) -> DecompositionPlan:
             split(m + 1, j)
 
         split(1, n)
-    elif kind is PathKind.LINE:
+    else:
         for i in range(1, n):
             terms.append(MiTerm(_contiguous(1, i), IndexSet.of(i + 1)))
-    else:
-        raise ParameterError(f"unknown path kind: {kind!r}")
     return DecompositionPlan(n=n, kind=kind, terms=tuple(terms))
 
 
@@ -209,11 +219,11 @@ def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarra
     """Train every term once on the batch; returns (sum, per-term values).
 
     Each term writes its gradient into its slice of ``est.grad``, then one
-    Adam step moves ``est.theta``. The step is all or nothing: if a term's
-    loss or any gradient is not finite, no parameter, moment, step count or
-    MINE moving average changes, and the TrainingError names the estimator,
-    the step and the first failing term in term order (a term's loss comes
-    before its gradient).
+    Adam step moves ``est.theta``. All or nothing: ``train_step`` checks
+    each term's loss, then its gradient, so the first failing term in term
+    order raises and no parameter, moment, step count or MINE moving average
+    changes. The TrainingError's estimator, term and step are set by
+    ``train_step``, ``_each_term`` and this function.
     """
     step = est.adam.step_count + 1
     emas = [t.ema_denominator for t in est.terms]
@@ -223,24 +233,9 @@ def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarra
     except TrainingError as exc:
         for term_est, ema in zip(est.terms, emas):
             term_est.ema_denominator = ema
-        _first_failure(est, exc)
-        exc.kind, exc.step = est.kind.value, step
+        exc.step = step
         raise
     return result
-
-
-def _first_failure(est: TcEstimator, exc: TrainingError) -> None:
-    """Make ``exc`` name the first term in term order that failed.
-
-    A term's gradient is checked after its loss, so a non-finite gradient
-    in a term before the one whose loss raised comes first; when Adam's
-    check over the whole vector raised, every term is looked at.
-    """
-    failed = est.n_terms if exc.term is None else exc.term
-    for k in range(failed):
-        if not np.isfinite(est.terms[k].net.grad).all():
-            exc.args, exc.term = ("non-finite gradient",), k
-            return
 
 
 def tc_evaluate(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:

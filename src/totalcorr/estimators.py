@@ -64,6 +64,8 @@ def create_term_estimator(
     rng: np.random.Generator,
     hidden: int = DEFAULT_HIDDEN,
 ) -> MiTermEstimator:
+    if not isinstance(kind, MiEstimatorKind):
+        raise ParameterError(f"kind must be a MiEstimatorKind, got {kind!r}")
     if min(u_dim, v_dim) < 1:
         raise ParameterError("u_dim and v_dim must be positive")
     if kind is MiEstimatorKind.CLUB:
@@ -304,13 +306,15 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     objective, whose moving average advances here); CLUB descends the
     conditional NLL while the returned value is the upper bound itself. No
     parameter moves: the caller applies the optimizer, as ``tc_train_step``
-    does once for all terms. A non-finite loss raises TrainingError, tagged
-    with the estimator kind.
+    does once for all terms. A non-finite loss, then a non-finite gradient,
+    raises TrainingError, tagged with the estimator kind.
     """
     try:
         value, loss = _bound(est, u, v, value_only=False)
         if not math.isfinite(loss):
             raise TrainingError("non-finite loss")
+        if not np.isfinite(est.net.grad).all():
+            raise TrainingError("non-finite gradient")
     except TrainingError as exc:
         exc.kind = est.kind.value
         raise

@@ -25,6 +25,7 @@ is kept as stated and fails with the measured numbers.
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ GOLDEN_CONFIG = ExperimentConfig(
     smoothing_bandwidth=5,
     seed=12345,
 )
-GOLDEN_PATH = "tests/data/golden_metrics.csv"
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_metrics.csv"
 
 
 def write_golden():
@@ -258,8 +259,7 @@ def test_criterion_8_metrics_identity(protocol, tmp_path):
         rows_checked += 1
     out = tmp_path / "metrics.csv"
     persist_metrics(golden_run.metrics, out)
-    golden_bytes = open(GOLDEN_PATH, "rb").read()
-    byte_exact = out.read_bytes() == golden_bytes
+    byte_exact = out.read_bytes() == GOLDEN_PATH.read_bytes()
     ok = worst < 1e-9 and byte_exact
     assert report(
         8,

@@ -1,6 +1,7 @@
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -48,10 +49,39 @@ def block_plan(kind: PathKind) -> DecompositionPlan:
     return DecompositionPlan(6, kind, terms)
 
 
+def empty_plan(n, kind) -> DecompositionPlan:
+    return DecompositionPlan(n, kind, ())
+
+
 class TestBuildPlan:
     def test_single_variable_gives_empty_plan(self):
         assert build_plan(1, PathKind.TREE).terms == ()
         assert build_plan(1, PathKind.LINE).terms == ()
+
+    # build_plan and DecompositionPlan share one rule for n and kind
+    @pytest.mark.parametrize("make", [build_plan, empty_plan])
+    @pytest.mark.parametrize("kind", list(PathKind))
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "4"])
+    def test_bad_n_rejected_by_name(self, make, kind, n):
+        with pytest.raises(ParameterError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+            make(n, kind)
+
+    @pytest.mark.parametrize("make", [build_plan, empty_plan])
+    def test_kind_must_be_a_path_kind(self, make):
+        with pytest.raises(ParameterError, match="kind must be a PathKind, got 'TREE'"):
+            make(4, "TREE")
+
+    @pytest.mark.parametrize("kind", list(PathKind))
+    def test_numpy_integer_n_accepted(self, kind):
+        # ExperimentConfig.dim may be a numpy integer
+        assert plan_as_tuples(build_plan(np.int64(4), kind)) == plan_as_tuples(build_plan(4, kind))
+
+    def test_terms_stored_as_a_tuple_of_mi_terms(self):
+        tree = build_plan(4, PathKind.TREE)
+        plan = DecompositionPlan(4, PathKind.TREE, list(tree.terms))
+        assert type(plan.terms) is tuple and plan == tree and hash(plan) == hash(tree)
+        with pytest.raises(ParameterError, match=r"term 1 is not an MiTerm: \(\(1,\), \(2,\)\)"):
+            DecompositionPlan(4, PathKind.TREE, [tree.terms[0], ((1,), (2,))])
 
     def test_tree_dim4(self):
         # floor-midpoint split: ((1,2);(3,4)) first, then both halves
@@ -189,6 +219,11 @@ class TestMakeTcEstimator:
     def test_index_above_n_rejected(self):
         with pytest.raises(ParameterError, match="term 0 names variable 7, but the plan has n=4"):
             DecompositionPlan(4, PathKind.TREE, (MiTerm(IndexSet.of(1), IndexSet.of(5, 7)),))
+
+    def test_kind_must_be_an_estimator_kind(self):
+        # a string kind would build the nets and fail only at the first step
+        with pytest.raises(ParameterError, match="kind must be a MiEstimatorKind, got 'NWJ'"):
+            make_tc_estimator(build_plan(4, PathKind.TREE), "NWJ", 0)
 
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_learning_rate_rejected(self, lr):

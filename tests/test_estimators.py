@@ -486,6 +486,11 @@ class TestTrainStep:
         with pytest.raises(ParameterError):
             train_step(est, np.zeros((8, 1)), np.zeros((8, 1)))
 
+    def test_kind_must_be_an_estimator_kind(self):
+        # a string 'CLUB' is not MiEstimatorKind.CLUB, and would build a scalar critic
+        with pytest.raises(ParameterError, match="kind must be a MiEstimatorKind, got 'CLUB'"):
+            create_term_estimator("CLUB", 1, 1, np.random.default_rng(0))
+
     @pytest.mark.parametrize("kind", list(MiEstimatorKind))
     def test_zero_width_rejected(self, kind):
         with pytest.raises(ParameterError, match="u_dim and v_dim must be positive"):
@@ -524,6 +529,24 @@ class TestTrainStep:
             TrainingError, match="NWJ"
         ):
             train_step(est, np.zeros((4, 1)), np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    def test_non_finite_gradient_names_kind(self, kind, monkeypatch):
+        # the term checks its own gradient as it runs, with no optimizer behind it
+        est = create_term_estimator(kind, 1, 1, np.random.default_rng(1))
+        backward = Mlp.backward
+
+        def nan_backward(self, cache, dout):
+            backward(self, cache, dout)
+            self.grad[0] = math.nan
+
+        monkeypatch.setattr(Mlp, "backward", nan_backward)
+        before = est.net.theta.copy()
+        rng = np.random.default_rng(2)
+        with pytest.raises(TrainingError) as info:
+            train_step(est, rng.standard_normal((8, 1)), rng.standard_normal((8, 1)))
+        assert str(info.value) == f"non-finite gradient [estimator={kind.value}]"
+        assert np.array_equal(est.net.theta, before)
 
     @pytest.mark.parametrize("kind", list(MiEstimatorKind))
     def test_permutation_invariance_of_evaluation(self, kind):
