@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, TrainingError
+from .errors import ParameterError, TrainingError, check_positive_int
 from .estimators import (
     MiEstimatorKind,
     MiTermEstimator,
@@ -73,9 +73,8 @@ class DecompositionPlan:
 
 
 def _check_n_and_kind(n, kind) -> None:
-    """The one rule for a plan's n, an integer >= 1 (not a bool), and its kind."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    """The one rule for a plan's n, a positive integer as an index is, and its kind."""
+    check_positive_int("n", n)
     if not isinstance(kind, PathKind):
         raise ParameterError(f"kind must be a PathKind, got {kind!r}")
 
@@ -163,8 +162,11 @@ def make_tc_estimator(
     Term k reads the batch columns ``p - 1`` of its sides' variables p, so
     its estimator has input widths ``len(term.left)`` and ``len(term.right)``.
     """
-    if not (math.isfinite(lr) and lr > 0):
-        raise ParameterError(f"lr must be positive and finite, got {lr}")
+    if not isinstance(kind, MiEstimatorKind):
+        raise ParameterError(f"kind must be a MiEstimatorKind, got {kind!r}")
+    check_positive_int("hidden", hidden)
+    if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+        raise ParameterError(f"lr must be positive and finite, got {lr!r}")
 
     def columns(subset: IndexSet) -> slice | np.ndarray:
         lo, hi = subset.indices[0], subset.indices[-1]

@@ -1,4 +1,6 @@
-"""Semantic exceptions shared across the package."""
+"""Semantic exceptions shared across the package, and the integer rule."""
+
+import numbers
 
 
 class TotalCorrError(Exception):
@@ -7,6 +9,14 @@ class TotalCorrError(Exception):
 
 class ParameterError(TotalCorrError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_positive_int(name: str, value) -> int:
+    """``value`` as an int if it is an integer >= 1: a Python or numpy integer,
+    never a bool or a float. Anything else raises ParameterError by ``name``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 class TrainingError(TotalCorrError, RuntimeError):

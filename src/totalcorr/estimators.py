@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
@@ -111,17 +110,14 @@ def pair_scores(critic: Mlp, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, 
     return out.reshape(n, n), cache
 
 
-@cache
-def _offdiag(n: int) -> np.ndarray:
-    mask = ~np.eye(n, dtype=bool)
-    mask.setflags(write=False)  # one mask per n, shared by every caller
-    return mask
-
-
 # Each lower bound is one function of the (N, N) score matrix and MINE's
 # moving average: (scores, ema) -> (value, loss, d loss / d scores, new ema).
 # NWJ and InfoNCE return the moving average unchanged. With value_only=True
 # the function returns the value alone, the same float, and skips the rest.
+# MINE and NWJ leave the joint pairs out of their marginal terms one way: the
+# diagonal is set to -inf before exp, and e^-inf = 0 drops it from the sum over
+# the whole matrix, which is divided by N(N-1); so a joint score whose e^score
+# would overflow neither warns nor makes an inf.
 # The bounds reduce with the ufuncs themselves (np.add.reduce(x) / x.size,
 # .diagonal(), np.minimum(np.maximum(...))): the same reductions in the same
 # order as np.mean, np.diag, np.sum and np.clip, so the same bits, without
@@ -134,14 +130,17 @@ def mine_bound(
     """Donsker-Varadhan value: mean joint score minus log mean marginal e^score.
 
     The loss is the bias-corrected objective of :func:`_mine_surrogate`, taken
-    at the moving average of mean_offdiag(e^scores) after this batch's update
+    at the moving average of mean_{i != j} e^scores_ij after this batch's update
     (decay 0.99); its gradient treats the moving average as a constant. A
     moving average below MINE_EMA_FLOOR or infinite raises TrainingError.
     """
     n = scores.shape[0]
-    vals = scores[_offdiag(n)]
-    shift = np.maximum.reduce(vals)
-    logmeanexp = float(shift + np.log(np.add.reduce(np.exp(vals - shift)) / vals.size))
+    marg = scores.copy()
+    np.fill_diagonal(marg, -np.inf)
+    shift = np.maximum.reduce(marg, axis=None)
+    marg -= shift
+    np.exp(marg, out=marg)
+    logmeanexp = float(shift + np.log(np.add.reduce(marg, axis=None) / (n * (n - 1))))
     value = float(np.add.reduce(scores.diagonal()) / n) - logmeanexp
     if value_only:
         return value
@@ -161,14 +160,12 @@ def _mine_surrogate(
 ) -> tuple[float, np.ndarray]:
     """Bias-corrected training objective with the moving average held fixed.
 
-    loss = -mean(diag) + mean_offdiag(e^scores) / ema; its exact gradient
+    loss = -mean(diag) + mean_{i != j} e^scores_ij / ema; its exact gradient
     replaces the log's data-dependent denominator with the moving average.
     """
     n = scores.shape[0]
     log_ema = math.log(ema_denominator)
     scaled = scores - log_ema
-    # the joint pairs drop out as e^-inf = 0, so a joint score whose e^score
-    # would overflow neither warns nor makes an inf
     np.fill_diagonal(scaled, -np.inf)
     np.exp(scaled, out=scaled)
     loss = -float(np.add.reduce(scores.diagonal()) / n) + float(
@@ -185,11 +182,10 @@ def nwj_bound(
     """f-divergence form: mean joint score minus mean marginal e^(score-1)."""
     n = scores.shape[0]
     marg = scores - 1.0
-    # e^-inf = 0 on the joint pairs, which no result uses: no overflow warning
     np.fill_diagonal(marg, -np.inf)
     np.exp(marg, out=marg)
-    off = marg[_offdiag(n)]
-    value = float(np.add.reduce(scores.diagonal()) / n) - float(np.add.reduce(off) / off.size)
+    marginal = float(np.add.reduce(marg, axis=None) / (n * (n - 1)))
+    value = float(np.add.reduce(scores.diagonal()) / n) - marginal
     if value_only:
         return value
     grad = np.divide(marg, n * (n - 1), out=marg)

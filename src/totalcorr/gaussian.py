@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_positive_int
 
 SYMMETRY_TOL = 1e-12
 PIVOT_TOL = 1e-12
@@ -21,15 +21,13 @@ CHOL_RECONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A strictly increasing set of 1-based variable indices."""
+    """A strictly increasing set of 1-based integer variable indices."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(check_positive_int("index", i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
-        if any(i < 1 for i in idx):
-            raise ParameterError(f"indices must be >= 1, got {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ParameterError(f"indices must be strictly increasing, got {idx}")
 

@@ -82,21 +82,21 @@ class Mlp:
     (hidden, rows) buffer for the hidden activations. Feature-major arrays
     make the work on a large batch contiguous matmuls and in-place passes.
     The buffers have the scratch's dtype: forward casts ``w1b1`` and ``w2``
-    to it once per call and returns float64 outputs, and backward takes G
-    (below) in it and casts it as it writes it into the float64 gradient.
+    to it once per call and returns float64 outputs, and backward takes each
+    G_o (below) in it and casts it as it writes it into the float64 gradient.
     forward copies its input into the buffer, cast as it is written, unless
     the caller wrote it there through :meth:`input_buffer`, as the critic's
     pair grid does. backward writes the ReLU mask ``hidden > 0`` over the
     activations in place and uses that, so no second (hidden, rows) array
-    exists. With one output, as in the critics, it first takes
-    G = mask @ (x_aug * dout)^T, the first-layer block's gradient up to the
-    factor ``w2``; as relu(pre) = mask * (w1b1 @ x_aug), the output
-    weights' gradient is dw2_k = sum_c w1b1[k, c] * G[k, c], a (hidden, in_dim + 1) product, so
-    the activations are read once, for the mask. That takes ``w1b1`` as the
-    forward used it, cast to the scratch's dtype. With more outputs backward
-    reads the activations for ``dw2`` before it writes the mask. A backward
-    consumes its cache: backward accepts only the cache of the scratch's
-    latest forward, once.
+    exists. For each output o it takes G_o = mask @ (x_aug * dout_o)^T, the
+    first-layer block's gradient through that output up to the factor
+    ``w2[o]``; as relu(pre) = mask * (w1b1 @ x_aug), the output weights'
+    gradient is dw2[o, k] = sum_c w1b1[k, c] * G_o[k, c], with ``w1b1`` as
+    the forward used it, so the activations are read once, for the mask.
+    G_0 is written straight into ``dw1b1``, and each further output, as in a
+    CLUB head with a two-wide v, adds w2[o] * G_o to it. A backward consumes
+    its cache: backward accepts only the cache of the scratch's latest
+    forward, once.
 
     Nets that never hold two live caches at once may share one scratch,
     assigned to each as ``scratch``. The critics of a ``TcEstimator``'s terms
@@ -208,8 +208,9 @@ class Mlp:
         return out, MlpCache(x=x_aug, hidden=hidden, owner=self, token=self.scratch.token)
 
     def backward(self, cache: MlpCache, dout: np.ndarray) -> None:
-        """Exact parameter gradients into ``grad``; ReLU subgradient at 0 is 0.
-        Consumes the cache: its ``hidden`` becomes the ReLU mask."""
+        """Exact parameter gradients into ``grad``, one first-layer product per
+        output; ReLU subgradient at 0 is 0. Consumes the cache: its ``hidden``
+        becomes the ReLU mask."""
         dout = np.asarray(dout, dtype=np.float64)
         if cache.owner is not self or cache.token != self.scratch.token:
             raise ParameterError("stale cache: backward must follow its own forward")
@@ -219,28 +220,20 @@ class Mlp:
             raise ParameterError("output gradient does not match the cached batch")
         self.scratch.token += 1
         dout.sum(axis=0, out=self.db2)
-        if self.out_dim == 1:
-            # relu'(pre) as a 0/1 float mask, the subgradient at 0 defined as 0
-            mask = np.greater(hidden, 0.0, out=hidden)
-            # dpre = w2^T dout^T * mask factorizes through the scalar output:
-            # one matmul G = mask @ (x_aug * dout)^T gives the whole first-layer
-            # block, bias column included, up to the factor w2, applied last.
-            # As relu(pre) = mask * (w1b1 @ x_aug), dw2_k = sum_c w1b1[k, c] G[k, c],
-            # so dw2 comes from G, not from another pass over the activations.
-            # G is taken in the scratch's dtype and cast as it is written into
-            # dw1b1: a float64 (x_aug * dout) would make numpy run the float64 matmul
-            dt = x_aug.dtype
-            np.matmul(mask, np.multiply(x_aug, dout.T, dtype=dt).T, out=self.dw1b1)
-            w1b1 = self.w1b1.astype(dt, copy=False)  # as forward used it
-            np.add.reduce(w1b1 * self.dw1b1, axis=1, out=self.dw2[0])
-            self.dw1b1 *= self.w2[0][:, None]
-        else:
-            np.matmul(dout.T, hidden.T, out=self.dw2)
-            mask = np.greater(hidden, 0.0, out=hidden)
-            dpre = self.w2.T @ dout.T
-            dpre *= mask
-            np.matmul(dpre, x_aug[:-1].T, out=self.dw1b1[:, :-1])
-            dpre.sum(axis=1, out=self.dw1b1[:, -1])
+        # relu'(pre) as a 0/1 float mask, the subgradient at 0 defined as 0
+        mask = np.greater(hidden, 0.0, out=hidden)
+        # G_o, dw2[o] and w2[o] * G_o per output o, as the class docstring
+        # derives; G_o is taken in the scratch's dtype, as a float64
+        # (x_aug * dout_o) would make numpy run the float64 matmul
+        dt = x_aug.dtype
+        w1b1 = self.w1b1.astype(dt, copy=False)  # as forward used it
+        for o in range(self.out_dim):
+            g = self.dw1b1 if o == 0 else np.empty_like(self.dw1b1)
+            np.matmul(mask, np.multiply(x_aug, dout[:, o], dtype=dt).T, out=g)
+            np.add.reduce(w1b1 * g, axis=1, out=self.dw2[o])
+            g *= self.w2[o][:, None]
+            if o:
+                self.dw1b1 += g
 
 
 class CondGaussianHead:

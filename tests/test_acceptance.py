@@ -196,7 +196,9 @@ def test_criterion_5_bound_direction(protocol):
 
 
 def test_criterion_6_path_preference(protocol):
-    # soft ordering checks: violations warn with measured values, never fail
+    # soft ordering checks: the verdict line prints first, then each violation
+    # warns with its measured values, and under the suite's warnings-as-errors
+    # setting that warning fails the test
     results, _ = protocol
     target = 4.0
     segment = PROTOCOL_TARGETS.index(target)
@@ -228,9 +230,9 @@ def test_criterion_6_path_preference(protocol):
         )
         if not tree >= line - 0.1:
             soft_failures.append(f"{kind.value} TREE < LINE - 0.1: {lines[-1]}")
+    report(6, not soft_failures, "; ".join(lines) + (" [soft]" if soft_failures else ""))
     for failure in soft_failures:
         warnings.warn(f"path-preference ordering not observed: {failure}")
-    report(6, not soft_failures, "; ".join(lines) + (" [soft]" if soft_failures else ""))
 
 
 def test_criterion_7_infonce_cap(protocol):

@@ -225,10 +225,26 @@ class TestMakeTcEstimator:
         with pytest.raises(ParameterError, match="kind must be a MiEstimatorKind, got 'NWJ'"):
             make_tc_estimator(build_plan(4, PathKind.TREE), "NWJ", 0)
 
-    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_kind_checked_on_a_plan_with_no_terms(self):
+        # one variable gives no terms, so no term estimator would see the kind
+        with pytest.raises(ParameterError, match="kind must be a MiEstimatorKind, got 'NWJ'"):
+            make_tc_estimator(build_plan(1, PathKind.TREE), "NWJ", 0)
+
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf, True, "1e-4", None])
     def test_bad_learning_rate_rejected(self, lr):
-        with pytest.raises(ParameterError, match=f"lr must be positive and finite, got {lr}"):
+        # True would train at lr 1.0, as ExperimentConfig refuses to
+        with pytest.raises(ParameterError, match=re.escape(f"lr must be positive and finite, got {lr!r}")):
             make_tc_estimator(build_plan(3, PathKind.LINE), MiEstimatorKind.MINE, seed=0, lr=lr)
+
+    @pytest.mark.parametrize("hidden", [2.5, True, 0, -3, "20", None])
+    def test_bad_hidden_rejected_by_name(self, hidden):
+        # unchecked, 2.5 fails deep in numpy and True builds one hidden unit
+        with pytest.raises(ParameterError, match=re.escape(f"hidden must be a positive integer, got {hidden!r}")):
+            make_tc_estimator(build_plan(3, PathKind.LINE), MiEstimatorKind.MINE, seed=0, hidden=hidden)
+
+    def test_numpy_integer_hidden_accepted(self):
+        est = make_tc_estimator(build_plan(3, PathKind.LINE), MiEstimatorKind.NWJ, 0, hidden=np.int64(7))
+        assert [t.net.hidden_dim for t in est.terms] == [7, 7]
 
 
 class TestTcTraining:

@@ -234,6 +234,34 @@ class TestNwjValue:
         assert 0.3 < smoothed < TRUE_MI_RHO09 + 0.05
 
 
+def gathered_terms(kind, scores):
+    """(joint, marginal) terms of MINE's or NWJ's value, with the marginal
+    pairs gathered by a boolean off-diagonal mask and averaged by np.mean."""
+    off = scores[~np.eye(scores.shape[0], dtype=bool)]
+    joint = float(np.mean(np.diag(scores)))
+    if kind is MiEstimatorKind.MINE:
+        shift = np.max(off)
+        return joint, float(shift + np.log(np.mean(np.exp(off - shift))))
+    return joint, float(np.mean(np.exp(off - 1.0)))
+
+
+class TestJointPairsLeftOut:
+    @pytest.mark.parametrize("kind", [MiEstimatorKind.MINE, MiEstimatorKind.NWJ])
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_value_matches_the_gather_form(self, kind, scale):
+        # the -inf diagonal sums the marginal term in another order than the
+        # gather does; the difference is rounding, relative to the larger term
+        rng = np.random.default_rng(24)
+        for n in range(2, 65):
+            for joint_score in (None, 800.0):
+                scores = scale * rng.standard_normal((n, n))
+                if joint_score is not None:
+                    scores[n // 2, n // 2] = joint_score
+                joint, marginal = gathered_terms(kind, scores)
+                got = LOWER_BOUNDS[kind](scores, 1.0, value_only=True)
+                assert abs(got - (joint - marginal)) <= 1e-14 * max(abs(joint), abs(marginal))
+
+
 class TestInfonceValue:
     def test_constant_scores_give_zero(self):
         assert value(infonce_bound, np.full((6, 6), -1.3)) == pytest.approx(0.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,21 @@ class TestIndexSet:
     def test_rejects_zero_based(self):
         with pytest.raises(ParameterError):
             IndexSet.of(0, 1)
+
+    @pytest.mark.parametrize("index", [1.7, 2.0, np.float64(3.0), "2", True, None])
+    def test_rejects_a_non_integer_index_by_name(self, index):
+        # int() would read 1.7 as 1, '2' as 2 and True as 1
+        with pytest.raises(ParameterError, match=re.escape(f"index must be a positive integer, got {index!r}")):
+            IndexSet.of(index)
+
+    def test_numpy_integers_become_ints(self):
+        indices = IndexSet.of(np.int64(1), np.int32(3)).indices
+        assert indices == (1, 3) and all(type(i) is int for i in indices)
+
+    def test_closed_form_refuses_truncated_indices(self):
+        model = equicorrelated_sigma(3, 0.5)
+        with pytest.raises(ParameterError, match="index must be a positive integer, got 1.9"):
+            mi_closed_form(model, IndexSet.of(1.9), IndexSet.of(2.2))
 
     def test_positions_are_zero_based(self):
         assert IndexSet.of(1, 3, 4).positions().tolist() == [0, 2, 3]

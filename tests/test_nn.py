@@ -303,8 +303,8 @@ class TestGradientLayout:
     )
     def test_grad_after_train_step_matches_plain_numpy(self, kind):
         # est.net.grad after one step is the gradient at the parameters
-        # before it, packed in theta's layout; a CLUB head with two outputs
-        # runs the general backward, the scalar critic the factorized one
+        # before it, packed in theta's layout; backward sums a CLUB head's two
+        # outputs' first-layer products, and takes the scalar critic's one
         rng = np.random.default_rng(18)
         club = kind is MiEstimatorKind.CLUB
         n, v_dim = 16, 2 if club else 1

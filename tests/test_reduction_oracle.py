@@ -56,9 +56,12 @@ def _offdiag(n):
 
 
 def wrapped_mine(scores, ema, value_only=False):
-    vals = scores[_offdiag(scores.shape[0])]
-    shift = np.max(vals)
-    logmeanexp = float(shift + np.log(np.mean(np.exp(vals - shift))))
+    n = scores.shape[0]
+    # the joint pairs drop out as e^-inf = 0 from the sum over the whole matrix
+    marg = scores.copy()
+    np.fill_diagonal(marg, -np.inf)
+    shift = np.max(marg)
+    logmeanexp = float(shift + np.log(np.sum(np.exp(marg - shift)) / (n * (n - 1))))
     value = float(np.mean(np.diag(scores))) - logmeanexp
     if value_only:
         return value
@@ -88,9 +91,10 @@ def wrapped_mine_surrogate(scores, ema_denominator):
 
 def wrapped_nwj(scores, ema, value_only=False):
     n = scores.shape[0]
-    with np.errstate(over="ignore"):  # on the diagonal, which no result uses
-        marg = np.exp(scores - 1.0)
-    value = float(np.mean(np.diag(scores))) - float(np.mean(marg[_offdiag(n)]))
+    marg = scores - 1.0
+    np.fill_diagonal(marg, -np.inf)  # as in wrapped_mine
+    marg = np.exp(marg)
+    value = float(np.mean(np.diag(scores))) - float(np.sum(marg) / (n * (n - 1)))
     if value_only:
         return value
     grad = marg / (n * (n - 1))
