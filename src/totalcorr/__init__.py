@@ -27,7 +27,7 @@ from .gaussian import (
     solve_rho_for_tc,
     tc_closed_form,
 )
-from .nn import AdamState, CondGaussianHead, Mlp, adam_step
+from .nn import AdamState, Mlp, adam_step
 from .estimators import (
     MiEstimatorKind,
     MiTermEstimator,
@@ -82,7 +82,6 @@ __all__ = [
     "solve_rho_for_tc",
     "tc_closed_form",
     "AdamState",
-    "CondGaussianHead",
     "Mlp",
     "adam_step",
     "MiEstimatorKind",

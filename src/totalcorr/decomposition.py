@@ -125,9 +125,10 @@ class TcEstimator:
     The estimator owns the vectors: ``theta`` holds every term's parameters,
     term by term, and each term's ``net.theta`` and ``net.grad`` are slices
     of ``theta`` and ``grad``. One Adam step per batch, with the state
-    ``adam``, updates all terms at once. The critics of MINE, NWJ and
-    InfoNCE terms share one float32 activation scratch (see ``nn.Mlp``);
-    ``theta``, ``grad``, the scores and the bounds stay float64.
+    ``adam``, updates all terms at once. The terms' nets share one
+    activation scratch (see ``nn.Mlp``): float32 for the critics of MINE,
+    NWJ and InfoNCE terms, float64 for CLUB's heads; ``theta``, ``grad``,
+    the scores and the bounds stay float64.
 
     A batch has ``plan.n`` columns. ``left_cols[k]`` and ``right_cols[k]``
     index term k's sides in them: a ``slice`` where the side's variables form
@@ -180,10 +181,9 @@ def make_tc_estimator(
         for term in plan.terms
     ]
     theta, grad = pack_parameters([t.net for t in terms])
-    if kind is not MiEstimatorKind.CLUB:
-        scratch = MlpScratch(dtype=np.float32)
-        for term in terms:
-            term.net.scratch = scratch
+    scratch = MlpScratch(dtype=np.float64 if kind is MiEstimatorKind.CLUB else np.float32)
+    for term in terms:
+        term.net.scratch = scratch
     return TcEstimator(
         plan=plan,
         kind=kind,

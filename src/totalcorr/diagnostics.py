@@ -92,7 +92,7 @@ def make_loss_probes(rng: np.random.Generator) -> list[LossProbe]:
 
     def club_lgs():
         cache = cond_gaussian_forward(head, u, v)
-        masks = (cache.mu_cache.hidden > 0, cache.logvar_cache.hidden > 0, logvar_passes(cache))
+        masks = (cache.net_cache.hidden > 0, logvar_passes(cache))
         sig = b"".join(np.packbits(m).tobytes() for m in masks)
         return _club_nll(head, cache), head.grad, sig
 

@@ -15,10 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, TrainingError
+from .errors import ParameterError, TrainingError, check_positive_int
 from .nn import (
     CondGaussianCache,
-    CondGaussianHead,
     DEFAULT_HIDDEN,
     Mlp,
     MlpCache,
@@ -43,7 +42,8 @@ class MiTermEstimator:
     """One MI term's estimator: its network and MINE's moving average.
 
     ``net`` is the scalar critic of MINE, NWJ and InfoNCE or CLUB's
-    conditional Gaussian head. Every parameter array of it is a view into
+    conditional Gaussian head, a net of two groups: the mean and the
+    log-variance. Every parameter array of it is a view into
     ``net.theta``, and backward fills ``net.grad``, laid out the same. The
     term has no optimizer of its own: in a ``TcEstimator`` both vectors are
     slices of the estimator's, which one Adam step updates for all terms.
@@ -52,7 +52,7 @@ class MiTermEstimator:
     kind: MiEstimatorKind
     u_dim: int
     v_dim: int
-    net: Mlp | CondGaussianHead
+    net: Mlp
     ema_denominator: float = 1.0
 
 
@@ -65,10 +65,10 @@ def create_term_estimator(
 ) -> MiTermEstimator:
     if not isinstance(kind, MiEstimatorKind):
         raise ParameterError(f"kind must be a MiEstimatorKind, got {kind!r}")
-    if min(u_dim, v_dim) < 1:
-        raise ParameterError("u_dim and v_dim must be positive")
+    u_dim, v_dim = check_positive_int("u_dim", u_dim), check_positive_int("v_dim", v_dim)
+    check_positive_int("hidden", hidden)
     if kind is MiEstimatorKind.CLUB:
-        net = CondGaussianHead.initialize(u_dim, v_dim, hidden, rng)
+        net = Mlp.initialize(u_dim, hidden, v_dim, rng, groups=2)
     else:
         net = Mlp.initialize(u_dim + v_dim, hidden, 1, rng)
     return MiTermEstimator(kind, u_dim, v_dim, net)
@@ -167,10 +167,12 @@ def _mine_surrogate(
     log_ema = math.log(ema_denominator)
     scaled = scores - log_ema
     np.fill_diagonal(scaled, -np.inf)
-    np.exp(scaled, out=scaled)
-    loss = -float(np.add.reduce(scores.diagonal()) / n) + float(
-        np.add.reduce(scaled, axis=None)
-    ) / (n * (n - 1))
+    # an overflowing marginal e^score, or sum of them, gives an inf loss,
+    # which train_step reports as a TrainingError, without a warning first
+    with np.errstate(over="ignore"):
+        np.exp(scaled, out=scaled)
+        marginal = float(np.add.reduce(scaled, axis=None))
+    loss = -float(np.add.reduce(scores.diagonal()) / n) + marginal / (n * (n - 1))
     grad = np.divide(scaled, n * (n - 1), out=scaled)
     np.fill_diagonal(grad, -1.0 / n)
     return loss, grad
@@ -219,7 +221,7 @@ LOWER_BOUNDS = {
 
 
 def club_bound(
-    head: CondGaussianHead, u: np.ndarray, v: np.ndarray, value_only: bool = False
+    head: Mlp, u: np.ndarray, v: np.ndarray, value_only: bool = False
 ) -> tuple[float, float] | float:
     """Contrastive log-ratio upper bound and its loss, from one forward pass.
 
@@ -233,7 +235,7 @@ def club_bound(
 
 
 def _club_bound(
-    head: CondGaussianHead, u: np.ndarray, v: np.ndarray, value_only: bool
+    head: Mlp, u: np.ndarray, v: np.ndarray, value_only: bool
 ) -> tuple[float, float] | float:
     """:func:`club_bound` on a batch that :func:`_check_pair_batch` took in.
 
@@ -257,7 +259,7 @@ def _club_bound(
     return value, _club_nll(head, cache)
 
 
-def _club_nll(head: CondGaussianHead, cache: CondGaussianCache) -> float:
+def _club_nll(head: Mlp, cache: CondGaussianCache) -> float:
     """-mean_i log q(v_i | u_i) from the cache; its gradient goes into ``head.grad``."""
     logpdf = cond_gaussian_logpdf(cache)
     n = logpdf.shape[0]

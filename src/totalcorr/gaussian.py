@@ -105,8 +105,7 @@ def equicorrelated_sigma(dim: int, rho: float) -> GaussianModel:
     Positive definiteness requires rho in (-1/(dim-1), 1); the determinant is
     ``(1-rho)**(dim-1) * (1 + (dim-1)*rho)``.
     """
-    if dim < 1:
-        raise ParameterError(f"dim must be a positive integer, got {dim}")
+    dim = check_positive_int("dim", dim)
     lower = -1.0 / (dim - 1) if dim > 1 else -math.inf
     if not (lower < rho < 1.0):
         raise ParameterError(
@@ -130,8 +129,7 @@ def solve_rho_for_tc(dim: int, target_tc: float) -> float:
     [0, inf) for dim >= 2. The bisection bracket ends at rho = 1 - 1e-12, so a
     target above the TC there (about 40.75 nats at dim 4) is rejected.
     """
-    if dim < 1:
-        raise ParameterError(f"dim must be a positive integer, got {dim}")
+    dim = check_positive_int("dim", dim)
     if not math.isfinite(target_tc):
         raise ParameterError(f"target_tc must be finite, got {target_tc}")
     if target_tc < 0.0:
@@ -214,8 +212,7 @@ def club_closed_form(model: GaussianModel, left: IndexSet, right: IndexSet) -> f
 
 def sample(model: GaussianModel, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``batch`` rows of L z with z i.i.d. standard normal."""
-    if batch < 1:
-        raise ParameterError(f"batch must be >= 1, got {batch}")
+    batch = check_positive_int("batch", batch)
     z = rng.standard_normal((batch, model.dim))
     return z @ model.chol.T
 
@@ -229,8 +226,7 @@ def mc_tc_oracle(
     marginal densities; unit-diagonal models have standard-normal marginals,
     so the 2-pi terms cancel exactly.
     """
-    if num_samples < 1:
-        raise ParameterError(f"num_samples must be >= 1, got {num_samples}")
+    num_samples = check_positive_int("num_samples", num_samples)
     x = sample(model, num_samples, rng)
     y = np.linalg.solve(model.chol, x.T)
     log_ratio = 0.5 * np.sum(x * x, axis=1) - 0.5 * np.sum(y * y, axis=0) + tc_closed_form(model)
@@ -243,8 +239,7 @@ def mc_tc_oracle(
 
 def random_correlation(dim: int, rng: np.random.Generator) -> GaussianModel:
     """A random unit-diagonal positive-definite covariance (Wishart, normalized)."""
-    if dim < 1:
-        raise ParameterError(f"dim must be a positive integer, got {dim}")
+    dim = check_positive_int("dim", dim)
     a = rng.standard_normal((dim, 2 * dim))
     raw = a @ a.T
     scale = np.sqrt(np.diag(raw))

@@ -29,7 +29,7 @@ from totalcorr.diagnostics import make_loss_probes
 from totalcorr.errors import TrainingError
 from totalcorr.estimators import MiEstimatorKind, create_term_estimator
 from totalcorr.gaussian import sample
-from totalcorr.nn import CondGaussianHead, Mlp, MlpScratch, cond_gaussian_forward
+from totalcorr.nn import Mlp, MlpScratch, cond_gaussian_forward
 
 
 def plan_as_tuples(plan: DecompositionPlan):
@@ -359,13 +359,13 @@ class TestAllOrNothingStep:
     def test_non_finite_gradient_in_term_k(self, kind, k, monkeypatch):
         est, batch = _trained(kind)
         net = est.terms[k].net
-        poisoned = {net.logvar_net if kind is MiEstimatorKind.CLUB else net}
         backward = Mlp.backward
 
         def nan_backward(self, cache, dout):
             backward(self, cache, dout)
-            if self in poisoned:
-                self.grad[0] = math.nan
+            if self is net:
+                # the last output bias: the log-variance group's in a CLUB head
+                self.grad[-1] = math.nan
 
         monkeypatch.setattr(Mlp, "backward", nan_backward)
         before = _state(est)
@@ -444,14 +444,22 @@ class TestActivationScratch:
         assert all(np.shares_memory(hidden[0], h) for h in hidden[1:])
 
     @pytest.mark.parametrize("path", list(PathKind))
-    def test_club_heads_keep_their_own(self, path):
+    def test_club_terms_share_one_float64_scratch(self, path):
+        # one live cache per term, as for the critics: the heads' two groups
+        # run in one forward, so the terms can share the buffers
         est = make_tc_estimator(build_plan(4, path), MiEstimatorKind.CLUB, seed=0)
+        scratch = est.terms[0].net.scratch
+        assert scratch.dtype == np.float64
+        assert all(t.net.scratch is scratch for t in est.terms)
         rng = np.random.default_rng(0)
+        hidden = []
         for t in est.terms:
             u, v = rng.standard_normal((5, t.u_dim)), rng.standard_normal((5, t.v_dim))
-            cache = cond_gaussian_forward(t.net, u, v)
-            assert not np.shares_memory(cache.mu_cache.hidden, cache.logvar_cache.hidden)
-            assert not np.shares_memory(cache.mu_cache.x, cache.logvar_cache.x)
+            hidden.append(cond_gaussian_forward(t.net, u, v).net_cache.hidden)
+        assert hidden[0].shape == (40, 5)
+        assert all(np.shares_memory(hidden[0], h) for h in hidden[1:])
+        tc_train_step(est, sample(equicorrelated_sigma(4, 0.5), 64, rng))
+        assert set(scratch.hidden) == {(2, 20, 64), (2, 20, 5)}
 
     @pytest.mark.parametrize("path", list(PathKind))
     @pytest.mark.parametrize("kind", CRITIC_KINDS)
@@ -473,13 +481,12 @@ class TestActivationScratch:
     def test_every_other_net_keeps_float64(self):
         rng = np.random.default_rng(0)
         club = make_tc_estimator(build_plan(4, PathKind.LINE), MiEstimatorKind.CLUB, seed=0)
-        nets = [h for t in club.terms for h in (t.net.mu_net, t.net.logvar_net)]
+        nets = [t.net for t in club.terms]
         nets += [create_term_estimator(kind, 2, 1, rng).net for kind in CRITIC_KINDS]
         for probe in make_loss_probes(rng):
             found = inspect.getclosurevars(probe.loss_grad_sig).nonlocals
-            net = found["critic"] if "critic" in found else found["head"]
-            nets += [net.mu_net, net.logvar_net] if isinstance(net, CondGaussianHead) else [net]
-        assert len(nets) == 2 * 3 + 3 + 3 + 2
+            nets.append(found["critic"] if "critic" in found else found["head"])
+        assert len(nets) == 3 + 3 + 3 + 1
         assert all(net.scratch.dtype == np.float64 for net in nets)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator, tc_
 from totalcorr.gaussian import club_closed_form, equicorrelated_sigma, sample, solve_rho_for_tc
 from totalcorr.nn import (
     AdamState,
-    CondGaussianHead,
     Mlp,
     adam_step,
     cond_gaussian_forward,
@@ -49,10 +49,8 @@ def linear_critic():
 
 
 def constant_head(u_dim=1, v_dim=1):
-    zeros = lambda: Mlp(
-        np.zeros((3, u_dim)), np.zeros(3), np.zeros((v_dim, 3)), np.zeros(v_dim)
-    )
-    return CondGaussianHead(zeros(), zeros())
+    """A two-group head with all-zero parameters: mu = 0, logvar = 0."""
+    return Mlp(np.zeros((6, u_dim)), np.zeros(6), np.zeros((2 * v_dim, 3)), np.zeros(2 * v_dim), groups=2)
 
 
 def scores_of(critic, u, v):
@@ -325,8 +323,8 @@ class TestClubValue:
         rng = np.random.default_rng(seed)
         n = 2 + seed % 12
         scale = (0.01, 1.0, 30.0)[seed % 3]
-        head = CondGaussianHead.initialize(2, 2, 5, rng)
-        head.logvar_net.b2 += (-700.0, -12.0, 0.0, 9.0, 700.0)[seed % 5]  # past both clamps
+        head = Mlp.initialize(2, 5, 2, rng, groups=2)
+        head.b2[2:] += (-700.0, -12.0, 0.0, 9.0, 700.0)[seed % 5]  # past both clamps
         u, v = scale * rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 2))
         cache = cond_gaussian_forward(head, u, v)
         mu, inv_var, vv = ([[Fraction(x) for x in row] for row in a.tolist()]
@@ -353,8 +351,8 @@ class TestClubValue:
         # adds and then cancels the log-normalizers, which can dwarf a small
         # value, so the tolerance also scales with its largest entry
         rng = np.random.default_rng(seed)
-        head = CondGaussianHead.initialize(2, 2, 5, rng)
-        head.logvar_net.b2 += logvar_shift
+        head = Mlp.initialize(2, 5, 2, rng, groups=2)
+        head.b2[2:] += logvar_shift
         u, v = scale * rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 2))
         logq = cond_gaussian_logpdf_matrix(cond_gaussian_forward(head, u, v))
         expected = float(np.mean(np.diag(logq)) - np.mean(logq))
@@ -364,8 +362,8 @@ class TestClubValue:
     @pytest.mark.parametrize("path", [PathKind.TREE, PathKind.LINE], ids=lambda p: p.value)
     def test_hand_built_optimal_head_gives_the_closed_form(self, path):
         # q*(v | u) = N(B u, diag C), set by hand with no training: the mean
-        # head passes each u_k through relu(x) - relu(-x) and scales by B,
-        # the log-variance head is the constant log C_kk in b2. A batch of
+        # group passes each u_k through relu(x) - relu(-x) and scales by B,
+        # the log-variance group is the constant log C_kk in b2. A batch of
         # N expects (N - 1) / N of gaussian.club_closed_form
         model = equicorrelated_sigma(4, solve_rho_for_tc(4, 2.0))
         rng = np.random.default_rng(23)
@@ -380,11 +378,11 @@ class TestClubValue:
             for k in range(du):
                 w1[2 * k, k], w1[2 * k + 1, k] = 1.0, -1.0
                 w2[:, 2 * k], w2[:, 2 * k + 1] = b[:, k], -b[:, k]
-            mu_net = Mlp(w1, np.zeros(20), w2, np.zeros(dv))
-            logvar_net = Mlp(
-                rng.standard_normal((20, du)), np.zeros(20), np.zeros((dv, 20)), np.log(cond_var)
+            head = Mlp(
+                np.concatenate([w1, rng.standard_normal((20, du))]), np.zeros(40),
+                np.concatenate([w2, np.zeros((dv, 20))]), np.concatenate([np.zeros(dv), np.log(cond_var)]),
+                groups=2,
             )
-            head = CondGaussianHead(mu_net, logvar_net)
             values = np.empty(batches)
             for t in range(batches):
                 x = sample(model, n, rng)
@@ -404,7 +402,7 @@ class TestClubValue:
 
     def test_train_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        head = CondGaussianHead.initialize(2, 1, 5, rng)
+        head = Mlp.initialize(2, 5, 1, rng, groups=2)
         u = rng.standard_normal((8, 2))
         v = rng.standard_normal((8, 1))
 
@@ -484,11 +482,10 @@ class TestTrainStep:
         rng = np.random.default_rng(14)
         est = create_term_estimator(kind, 2, 1, rng)
         theta, grad = est.net.theta, est.net.grad
-        club = kind is MiEstimatorKind.CLUB
-        nets = (est.net.mu_net, est.net.logvar_net) if club else (est.net,)
-        params = [p for net in nets for p in (net.w1b1, net.w1, net.b1, net.w2, net.b2)]
-        grads = [g for net in nets for g in (net.dw1b1, net.dw2, net.db2)]
-        assert sum(net.w1b1.size + net.w2.size + net.b2.size for net in nets) == theta.size
+        net = est.net
+        params = [net.w1b1, net.w1, net.b1, net.w2, net.b2]
+        grads = [net.dw1b1, net.dw2, net.db2]
+        assert net.w1b1.size + net.w2.size + net.b2.size == theta.size
         assert grad.shape == theta.shape
         assert all(np.shares_memory(p, theta) for p in params)
         assert all(np.shares_memory(g, grad) for g in grads)
@@ -496,10 +493,10 @@ class TestTrainStep:
         train_step(est, rng.standard_normal((16, 2)), rng.standard_normal((16, 1)))
         adam_step(theta, grad, AdamState.for_params(theta))
         assert not np.array_equal(theta, before)
-        # theta holds each net as [w1 | b1] row by row, then w2 and b2, and
+        # theta holds the net as [w1 | b1] row by row, then w2 and b2, and
         # grad holds the gradient views in the same places
-        flat = [[np.column_stack([n.w1, n.b1]), n.w2, n.b2] for n in nets]
-        assert np.array_equal(np.concatenate([p.ravel() for ps in flat for p in ps]), theta)
+        flat = [np.column_stack([net.w1, net.b1]), net.w2, net.b2]
+        assert np.array_equal(np.concatenate([p.ravel() for p in flat]), theta)
         assert np.array_equal(np.concatenate([g.ravel() for g in grads]), grad)
 
     def test_deterministic_given_seed(self):
@@ -520,9 +517,15 @@ class TestTrainStep:
             create_term_estimator("CLUB", 1, 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", list(MiEstimatorKind))
-    def test_zero_width_rejected(self, kind):
-        with pytest.raises(ParameterError, match="u_dim and v_dim must be positive"):
-            create_term_estimator(kind, 0, 1, np.random.default_rng(0))
+    @pytest.mark.parametrize("name", ["u_dim", "v_dim", "hidden"])
+    @pytest.mark.parametrize("value", [0, 2.5, True, "4"])
+    def test_widths_must_be_positive_integers(self, kind, name, value):
+        widths = dict(u_dim=1, v_dim=1, hidden=3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+            create_term_estimator(kind, rng=rng, **{**widths, name: value})
+        est = create_term_estimator(kind, rng=rng, **{**widths, name: np.int64(2)})
+        assert (est.u_dim, est.v_dim, est.net.hidden_dim)[list(widths).index(name)] == 2
 
     @pytest.mark.parametrize("kind", list(MiEstimatorKind))
     @pytest.mark.parametrize(
@@ -606,7 +609,7 @@ class TestTrainStep:
         rng = np.random.default_rng(16)
         for n, scale, ema in [(64, 1.0, 1.0), (64, 5.0, 0.37), (2, 0.5, 3.1), (17, 30.0, 1e-3)]:
             if kind is MiEstimatorKind.CLUB:
-                head = CondGaussianHead.initialize(2, 2, 5, rng)
+                head = Mlp.initialize(2, 5, 2, rng, groups=2)
                 u, v = scale * rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
                 bound = lambda **kw: club_bound(head, u, v, **kw)
             else:
@@ -630,22 +633,28 @@ class TestTrainStep:
         evaluate(est, u, v)
         assert len(calls) == 2
 
-    def test_club_runs_each_head_forward_once(self, monkeypatch):
+    def test_club_runs_one_forward_per_term(self, monkeypatch):
         # value, loss and gradient of a CLUB step all come from one forward
-        # pass of the two heads, and evaluation needs no more than that
+        # and one backward of the head, both groups at once, and evaluation
+        # needs one forward
         rng = np.random.default_rng(17)
         est = create_term_estimator(MiEstimatorKind.CLUB, 2, 1, rng)
         u, v = rng.standard_normal((16, 2)), rng.standard_normal((16, 1))
         calls = []
-        forward = Mlp.forward
+        forward, backward = Mlp.forward, Mlp.backward
 
         def counting_forward(self, x):
-            calls.append(self)
+            calls.append(("forward", self))
             return forward(self, x)
 
+        def counting_backward(self, cache, dout):
+            calls.append(("backward", self))
+            return backward(self, cache, dout)
+
         monkeypatch.setattr(Mlp, "forward", counting_forward)
+        monkeypatch.setattr(Mlp, "backward", counting_backward)
         train_step(est, u, v)
-        assert calls == [est.net.mu_net, est.net.logvar_net]
+        assert calls == [("forward", est.net), ("backward", est.net)]
         calls.clear()
         evaluate(est, u, v)
-        assert calls == [est.net.mu_net, est.net.logvar_net]
+        assert calls == [("forward", est.net)]

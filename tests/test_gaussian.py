@@ -332,3 +332,33 @@ class TestMcOracle:
             est, se = mc_tc_oracle(model, 10**4, np.random.default_rng(seed))
             hits += abs(est - truth) < 3 * se
         assert hits >= 19
+
+
+MODEL = equicorrelated_sigma(2, 0.1)
+INTEGER_ARGUMENTS = {
+    "solve_rho_for_tc": ("dim", lambda k: solve_rho_for_tc(k, 1.0)),
+    "equicorrelated_sigma": ("dim", lambda k: equicorrelated_sigma(k, 0.1)),
+    "random_correlation": ("dim", lambda k: random_correlation(k, np.random.default_rng(0))),
+    "sample": ("batch", lambda k: sample(MODEL, k, np.random.default_rng(0))),
+    "mc_tc_oracle": ("num_samples", lambda k: mc_tc_oracle(MODEL, k, np.random.default_rng(0))),
+}
+
+
+class TestIntegerArguments:
+    # a count or a dimension is a Python or numpy integer, never a bool, a
+    # float or a string, as an index is
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    @pytest.mark.parametrize("function", sorted(INTEGER_ARGUMENTS))
+    def test_non_integer_rejected_by_name(self, function, value):
+        name, call = INTEGER_ARGUMENTS[function]
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("function", sorted(INTEGER_ARGUMENTS))
+    def test_numpy_integer_accepted(self, function):
+        _, call = INTEGER_ARGUMENTS[function]
+
+        def comparable(result):
+            return result.sigma.tobytes() if hasattr(result, "sigma") else np.asarray(result).tobytes()
+
+        assert comparable(call(np.int64(4))) == comparable(call(4))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,7 +20,6 @@ from totalcorr.estimators import (
 )
 from totalcorr.nn import (
     AdamState,
-    CondGaussianHead,
     Mlp,
     MlpScratch,
     adam_step,
@@ -40,10 +40,12 @@ def logpdf_rows(head, u, v):
     return cond_gaussian_logpdf(cond_gaussian_forward(head, u, v))
 
 
-def constant_head(u_dim=1, v_dim=1):
-    """Heads with all-zero parameters: mu = 0, logvar = 0 regardless of u."""
-    zeros = lambda: Mlp(np.zeros((3, u_dim)), np.zeros(3), np.zeros((v_dim, 3)), np.zeros(v_dim))
-    return CondGaussianHead(zeros(), zeros())
+def constant_head(u_dim=1, v_dim=1, logvar_bias=0.0):
+    """A head with all-zero weights: mu = 0 and logvar = logvar_bias regardless of u."""
+    return Mlp(
+        np.zeros((6, u_dim)), np.zeros(6), np.zeros((2 * v_dim, 3)),
+        np.repeat([0.0, logvar_bias], v_dim), groups=2,
+    )
 
 
 class TestMlpForward:
@@ -208,6 +210,61 @@ class TestMlpBackward:
         assert np.all(np.abs(net.dw2 - want) <= 1e-12 * scale)
 
 
+class TestMlpGroups:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", [2, 17, 64])
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    @pytest.mark.parametrize("in_dim", [1, 2, 3])
+    def test_groups_give_the_bytes_of_separate_nets(self, in_dim, out_dim, rows, dtype):
+        # group g of one net is the net of group g's rows of w1, b1, w2 and
+        # b2, with a scratch of its own: outputs, masks and gradients agree
+        # bit for bit, in either scratch dtype
+        rng = np.random.default_rng(in_dim * 100 + out_dim * 10 + rows)
+        net = Mlp.initialize(in_dim, 5, out_dim, rng, groups=2)
+        net.b1[:], net.b2[:] = rng.standard_normal(10), rng.standard_normal(2 * out_dim)
+        parts = [Mlp(*group) for group in groups_of(net, net.theta)]
+        for n in (net, *parts):
+            n.scratch = MlpScratch(dtype=dtype)
+        x, dout = rng.standard_normal((rows, in_dim)), rng.standard_normal((rows, 2 * out_dim))
+        out, cache = net.forward(x)
+        net.backward(cache, dout)
+        for g, part in enumerate(parts):
+            cols = slice(g * out_dim, (g + 1) * out_dim)
+            part_out, part_cache = part.forward(x)
+            assert part_out.tobytes() == np.ascontiguousarray(out[:, cols]).tobytes()
+            part.backward(part_cache, np.ascontiguousarray(dout[:, cols]))
+            assert part_cache.hidden.tobytes() == cache.hidden[g * 5 : (g + 1) * 5].tobytes()
+            for got, want in zip(groups_of(net, net.grad)[g], split(part, part.grad)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_initialize_draws_group_by_group(self):
+        # each group's w1, then its w2, from the caller's stream
+        net = Mlp.initialize(3, 4, 2, np.random.default_rng(40), groups=2)
+        rng = np.random.default_rng(40)
+        parts = [Mlp.initialize(3, 4, 2, rng) for _ in range(2)]
+        assert net.theta.tobytes() == pack(
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in ("w1", "b1", "w2", "b2"))
+        ).tobytes()
+
+    @pytest.mark.parametrize("name", ["in_dim", "hidden_dim", "out_dim", "groups"])
+    @pytest.mark.parametrize("value", [2.5, True, "4", 0])
+    def test_initialize_takes_integer_widths_only(self, name, value):
+        widths = dict(in_dim=2, hidden_dim=3, out_dim=1, groups=1)
+        rng = np.random.default_rng(41)
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+            Mlp.initialize(rng=rng, **{**widths, name: value})
+        net = Mlp.initialize(rng=rng, **{**widths, name: np.int64(2)})
+        assert (net.in_dim, net.hidden_dim, net.out_dim, net.groups)[list(widths).index(name)] == 2
+
+    @pytest.mark.parametrize(
+        "w1_rows, w2_rows, message",
+        [(5, 2, "hidden dimensions of w1 and w2 disagree"), (6, 3, "w2 has 3 rows, not a multiple of 2 groups")],
+    )
+    def test_group_blocks_checked(self, w1_rows, w2_rows, message):
+        with pytest.raises(ParameterError, match=message):
+            Mlp(np.zeros((w1_rows, 2)), np.zeros(w1_rows), np.zeros((w2_rows, 3)), np.zeros(w2_rows), groups=2)
+
+
 class TestFloat32Scratch:
     def test_pair_grid_in_the_buffer_is_not_copied(self):
         # the grid is cast to float32 as pair_scores writes it, and forward
@@ -244,12 +301,22 @@ class TestFloat32Scratch:
 
 
 def plain_mlp(net, x, dout):
-    """Row-major numpy forward and hand gradients of the same MLP."""
+    """Row-major numpy forward and hand gradients of the same MLP, its groups
+    (one unless ``net.groups`` says otherwise) as one net whose output
+    weights are block-diagonal."""
+    groups = getattr(net, "groups", 1)
+    h, o = net.w2.shape[1], net.w2.shape[0] // groups
+    blocks = [(slice(g * o, (g + 1) * o), slice(g * h, (g + 1) * h)) for g in range(groups)]
+    w2 = np.zeros((groups * o, groups * h))
+    for rows, cols in blocks:
+        w2[rows, cols] = net.w2[rows]
     pre = x @ net.w1.T + net.b1
     hidden = np.maximum(pre, 0.0)
-    out = hidden @ net.w2.T + net.b2
-    dpre = (dout @ net.w2) * (pre > 0.0)
-    grad = pack(dpre.T @ x, dpre.sum(axis=0), dout.T @ hidden, dout.sum(axis=0))
+    out = hidden @ w2.T + net.b2
+    dpre = (dout @ w2) * (pre > 0.0)
+    dw2 = dout.T @ hidden
+    dw2 = np.concatenate([dw2[rows, cols] for rows, cols in blocks])
+    grad = pack(dpre.T @ x, dpre.sum(axis=0), dw2, dout.sum(axis=0))
     return out, grad
 
 
@@ -261,6 +328,15 @@ def split(net, vec):
     return block[:, :-1], block[:, -1], vec[a:b].reshape(net.w2.shape), vec[b:]
 
 
+def groups_of(net, vec):
+    """(w1, b1, w2, b2) of each group of one net's vector in theta's layout."""
+    h, o = net.hidden_dim, net.out_dim
+    return [
+        tuple(part[g * size : (g + 1) * size] for part, size in zip(split(net, vec), (h, h, o, o)))
+        for g in range(net.groups)
+    ]
+
+
 def assert_rel_close(got, want, rtol=1e-12):
     """max |got - want| <= rtol * max |want|, over the whole array."""
     assert got.shape == want.shape
@@ -268,13 +344,14 @@ def assert_rel_close(got, want, rtol=1e-12):
 
 
 class TestMlpAgainstPlainNumpy:
+    @pytest.mark.parametrize("groups", [1, 2])
     @pytest.mark.parametrize("out_dim", [1, 3])
     @pytest.mark.parametrize("layout", ["row-major", "pair-grid view"])
-    def test_forward_and_backward(self, out_dim, layout):
+    def test_forward_and_backward(self, out_dim, layout, groups):
         rng = np.random.default_rng(15)
-        net = Mlp.initialize(4, 20, out_dim, rng)
-        net.b1[:] = 0.3 * rng.standard_normal(20)
-        net.b2[:] = rng.standard_normal(out_dim)
+        net = Mlp.initialize(4, 20, out_dim, rng, groups=groups)
+        net.b1[:] = 0.3 * rng.standard_normal(groups * 20)
+        net.b2[:] = rng.standard_normal(groups * out_dim)
         if layout == "row-major":
             x = rng.standard_normal((4096, 4))
         else:
@@ -286,13 +363,14 @@ class TestMlpAgainstPlainNumpy:
             grid = x.T.reshape(4, 64, 64)
             grid[:2] = u.T[:, :, None]
             grid[2:] = v.T[:, None, :]
-        dout = rng.standard_normal((4096, out_dim))
+        dout = rng.standard_normal((4096, groups * out_dim))
         want_out, want_grad = plain_mlp(net, x, dout)
         out, cache = net.forward(x)
         assert_rel_close(out, want_out)
         net.backward(cache, dout)
-        for got, want in zip(split(net, net.grad), split(net, want_grad)):
-            assert_rel_close(got, want)
+        for got_group, want_group in zip(groups_of(net, net.grad), groups_of(net, want_grad)):
+            for got, want in zip(got_group, want_group):
+                assert_rel_close(got, want)
 
 
 class TestGradientLayout:
@@ -303,37 +381,33 @@ class TestGradientLayout:
     )
     def test_grad_after_train_step_matches_plain_numpy(self, kind):
         # est.net.grad after one step is the gradient at the parameters
-        # before it, packed in theta's layout; backward sums a CLUB head's two
-        # outputs' first-layer products, and takes the scalar critic's one
+        # before it, packed in theta's layout; backward sums the first-layer
+        # products of a CLUB group's two outputs, and takes the scalar
+        # critic's one
         rng = np.random.default_rng(18)
         club = kind is MiEstimatorKind.CLUB
         n, v_dim = 16, 2 if club else 1
         est = create_term_estimator(kind, 2, v_dim, rng)
-        nets = (est.net.mu_net, est.net.logvar_net) if club else (est.net,)
         u, v = rng.standard_normal((n, 2)), rng.standard_normal((n, v_dim))
         before, ema = est.net.theta.copy(), est.ema_denominator
         train_step(est, u, v)
-        old, offset = [], 0
-        for net in nets:
-            w1, b1, w2, b2 = split(net, before[offset : offset + net.theta.size])
-            old.append(SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2))
-            offset += net.theta.size
+        w1, b1, w2, b2 = split(est.net, before)
+        old = SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2, groups=est.net.groups)
         if club:
-            mu = plain_mlp(old[0], u, np.zeros((n, v_dim)))[0]
-            raw = plain_mlp(old[1], u, np.zeros((n, v_dim)))[0]
+            out = plain_mlp(old, u, np.zeros((n, 2 * v_dim)))[0]
+            mu, raw = out[:, :v_dim], out[:, v_dim:]
             inv_var = np.exp(-np.clip(raw, -10.0, 10.0))
             resid, w = v - mu, -1.0 / n
             dmu = w * resid * inv_var
             dlogvar = w * (-0.5 + 0.5 * resid * resid * inv_var) * (np.abs(raw) <= 10.0)
-            wants = [plain_mlp(old[0], u, dmu)[1], plain_mlp(old[1], u, dlogvar)[1]]
+            want = plain_mlp(old, u, np.concatenate([dmu, dlogvar], axis=1))[1]
         else:
             x = np.concatenate([np.repeat(u, n, axis=0), np.tile(v, (n, 1))], axis=1)
-            scores = plain_mlp(old[0], x, np.zeros((n * n, 1)))[0].reshape(n, n)
+            scores = plain_mlp(old, x, np.zeros((n * n, 1)))[0].reshape(n, n)
             dscores = LOWER_BOUNDS[kind](scores, ema)[2]
-            wants = [plain_mlp(old[0], x, dscores.reshape(-1, 1))[1]]
-        assert np.array_equal(est.net.grad, np.concatenate([net.grad for net in nets]))
-        for net, want in zip(nets, wants):
-            for got_part, want_part in zip(split(net, net.grad), split(net, want)):
+            want = plain_mlp(old, x, dscores.reshape(-1, 1))[1]
+        for got_group, want_group in zip(groups_of(est.net, est.net.grad), groups_of(est.net, want)):
+            for got_part, want_part in zip(got_group, want_group):
                 assert_rel_close(got_part, want_part)
 
 
@@ -348,7 +422,7 @@ class TestCondGaussian:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
-        head = CondGaussianHead.initialize(2, 3, 4, rng)
+        head = Mlp.initialize(2, 4, 3, rng, groups=2)
         u = rng.standard_normal((5, 2))
         v = rng.standard_normal((5, 3))
         weights = rng.standard_normal(5)
@@ -362,19 +436,15 @@ class TestCondGaussian:
 
     def test_logvar_clamp_bounds_density(self):
         # a huge log-variance bias must clamp at 10 instead of exploding
-        big = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.array([1e4]))
-        zero = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
-        head = CondGaussianHead(zero, big)
+        head = constant_head(logvar_bias=1e4)
         lp = logpdf_rows(head, np.zeros((1, 1)), np.zeros((1, 1)))
         assert lp[0] == pytest.approx(-0.5 * math.log(2 * math.pi) - 5.0, abs=1e-12)
 
     def test_clamped_logvar_has_zero_gradient(self):
-        big = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.array([1e4]))
-        zero = Mlp(np.zeros((3, 1)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
-        head = CondGaussianHead(zero, big)
+        head = constant_head(logvar_bias=1e4)
         cache = cond_gaussian_forward(head, np.zeros((2, 1)), np.ones((2, 1)))
         cond_gaussian_logpdf_backward(head, cache, np.ones(2))
-        assert np.array_equal(head.logvar_net.db2, np.zeros(1))
+        assert np.array_equal(head.db2[head.out_dim :], np.zeros(1))
 
     @pytest.mark.parametrize(
         "u, v, message",
@@ -388,9 +458,14 @@ class TestCondGaussian:
         with pytest.raises(ParameterError, match=message):
             club_bound(constant_head(), u, v)
 
+    def test_one_group_net_rejected(self):
+        net = Mlp.initialize(1, 3, 1, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="a Gaussian head has 2 groups, got 1"):
+            cond_gaussian_forward(net, np.zeros((2, 1)), np.zeros((2, 1)))
+
     def test_pairwise_matrix_matches_rowwise(self):
         rng = np.random.default_rng(7)
-        head = CondGaussianHead.initialize(2, 2, 4, rng)
+        head = Mlp.initialize(2, 4, 2, rng, groups=2)
         u = rng.standard_normal((6, 2))
         v = rng.standard_normal((6, 2))
         mat = cond_gaussian_logpdf_matrix(cond_gaussian_forward(head, u, v))

@@ -3,10 +3,15 @@
 The oracle below is the per-term path the package used before one Adam step
 trained all terms of a TcEstimator: every term has its own AdamState and is
 updated right after its own bound, and the bounds reduce with numpy's Python
-wrappers (np.mean, np.diag, np.sum, np.max, np.clip). The package must give
+wrappers (np.mean, np.diag, np.sum, np.max, np.clip). Its CLUB head is two
+nets, a mean net and a log-variance net with a scratch each, as the package
+built it before they became the two groups of one net. The package must give
 the same bytes: the ufunc calls it makes instead are the reductions those
-wrappers make, in the same order, and Adam's arithmetic is elementwise.
+wrappers make, in the same order, a group of one net computes what the net
+of its rows computes, and Adam's arithmetic is elementwise.
 """
+
+from typing import NamedTuple
 
 import math
 
@@ -31,21 +36,22 @@ from totalcorr.estimators import (
     MINE_EMA_DECAY,
     MINE_EMA_FLOOR,
     MiEstimatorKind,
+    _club_nll,
     _mine_surrogate,
     club_bound,
     pair_scores,
 )
-from totalcorr.gaussian import IndexSet, equicorrelated_sigma, sample
+from totalcorr.gaussian import IndexSet, equicorrelated_sigma, sample, solve_rho_for_tc
 from totalcorr.nn import (
     LOGVAR_MAX,
     LOGVAR_MIN,
     AdamState,
-    CondGaussianCache,
-    CondGaussianHead,
+    Mlp,
     adam_step,
     cond_gaussian_forward,
     cond_gaussian_logpdf,
-    cond_gaussian_logpdf_backward,
+    logvar_passes,
+    pack_parameters,
 )
 
 # --- the oracle: the bounds in their numpy-wrapper forms -------------------
@@ -80,10 +86,12 @@ def wrapped_mine_surrogate(scores, ema_denominator):
     n = scores.shape[0]
     log_ema = math.log(ema_denominator)
     # the joint pairs drop out by selection, so an e^score that overflows on
-    # the diagonal gives no inf * 0 = NaN, and errstate keeps it from warning
+    # the diagonal gives no inf * 0 = NaN, and errstate keeps it, or an
+    # off-diagonal sum that overflows, from warning
     with np.errstate(over="ignore"):
         scaled = np.where(_offdiag(n), np.exp(scores - log_ema), 0.0)
-    loss = -float(np.mean(np.diag(scores))) + float(np.sum(scaled)) / (n * (n - 1))
+        marginal = float(np.sum(scaled))
+    loss = -float(np.mean(np.diag(scores))) + marginal / (n * (n - 1))
     grad = scaled / (n * (n - 1))
     np.fill_diagonal(grad, -1.0 / n)
     return loss, grad
@@ -124,6 +132,50 @@ WRAPPED = {
 }
 
 
+class TwoNetHead:
+    """CLUB's q(v | u) as a mean net and a log-variance net, one group each,
+    each with a scratch of its own, packed mean net first."""
+
+    def __init__(self, mu_net, logvar_net):
+        self.mu_net, self.logvar_net = mu_net, logvar_net
+        self.theta, self.grad = pack_parameters((mu_net, logvar_net))
+
+    @classmethod
+    def initialize(cls, u_dim, v_dim, hidden, rng):
+        return cls(*(Mlp.initialize(u_dim, hidden, v_dim, rng) for _ in range(2)))
+
+    @classmethod
+    def of(cls, head):
+        """The nets of a two-group head's groups, with copies of its parameters."""
+        h, o = head.hidden_dim, head.out_dim
+        rows = [(slice(g * h, (g + 1) * h), slice(g * o, (g + 1) * o)) for g in range(2)]
+        return cls(*(Mlp(head.w1[hr], head.b1[hr], head.w2[orows], head.b2[orows]) for hr, orows in rows))
+
+    def as_groups(self):
+        """One two-group net with copies of the nets' parameters."""
+        nets = (self.mu_net, self.logvar_net)
+        return Mlp(*(np.concatenate([getattr(n, a) for n in nets]) for a in ("w1", "b1", "w2", "b2")), groups=2)
+
+    def grouped(self, vec):
+        """``vec``, laid out as ``theta``, in the layout of :meth:`as_groups`."""
+        halves = np.split(vec, [self.mu_net.theta.size])
+        parts = [np.split(half, np.cumsum([net.w1b1.size, net.w2.size]))
+                 for half, net in zip(halves, (self.mu_net, self.logvar_net))]
+        return np.concatenate([part for pair in zip(*parts) for part in pair])
+
+
+class TwoNetCache(NamedTuple):
+    mu_cache: object
+    logvar_cache: object
+    mu: np.ndarray
+    logvar_raw: np.ndarray
+    logvar: np.ndarray
+    inv_var: np.ndarray
+    v: np.ndarray
+    resid: np.ndarray
+    half_sq: np.ndarray
+
+
 def wrapped_forward(head, u, v):
     mu, mu_cache = head.mu_net.forward(u)
     logvar_raw, logvar_cache = head.logvar_net.forward(u)
@@ -131,9 +183,17 @@ def wrapped_forward(head, u, v):
     inv_var = np.exp(-logvar)
     resid = v - mu
     half_sq = 0.5 * resid * resid * inv_var
-    return CondGaussianCache(
-        mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v, resid, half_sq
-    )
+    return TwoNetCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v, resid, half_sq)
+
+
+def two_net_backward(head, cache, dlogpdf):
+    """The gradient of sum(dlogpdf * logpdf), one backward per net."""
+    w = dlogpdf[:, None]
+    dmu = w * cache.resid * cache.inv_var
+    dlogvar = w * (-0.5 + cache.half_sq)
+    dlogvar *= logvar_passes(cache)
+    head.mu_net.backward(cache.mu_cache, dmu)
+    head.logvar_net.backward(cache.logvar_cache, dlogvar)
 
 
 def wrapped_club(head, u, v, value_only=False):
@@ -148,26 +208,27 @@ def wrapped_club(head, u, v, value_only=False):
         return value
     logpdf = cond_gaussian_logpdf(cache)
     n = logpdf.shape[0]
-    cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
+    two_net_backward(head, cache, np.full(n, -1.0 / n))
     return value, -float(np.mean(logpdf))
 
 
-def oracle_term(term, u, v, value_only):
-    """The term's bound as the per-term path computed it: the value alone, or
-    the value with the gradient in ``term.net.grad`` and the moving average
-    advanced, after the per-term loss check."""
+def oracle_term(term, net, u, v, value_only):
+    """The term's bound as the per-term path computed it, on its oracle net
+    ``net`` (a :class:`TwoNetHead` for CLUB): the value alone, or the value
+    with the gradient in ``net.grad`` and the moving average advanced, after
+    the per-term loss check."""
     if term.kind is MiEstimatorKind.CLUB:
-        result = wrapped_club(term.net, u, v, value_only)
+        result = wrapped_club(net, u, v, value_only)
         if value_only:
             return result
         value, loss = result
     else:
-        scores, cache = pair_scores(term.net, u, v)
+        scores, cache = pair_scores(net, u, v)
         bound = WRAPPED[term.kind]
         if value_only:
             return bound(scores, term.ema_denominator, value_only=True)
         value, loss, dscores, term.ema_denominator = bound(scores, term.ema_denominator)
-        term.net.backward(cache, dscores.reshape(-1, 1))
+        net.backward(cache, dscores.reshape(-1, 1))
     assert math.isfinite(loss)
     return value
 
@@ -215,6 +276,8 @@ class TestBoundsMatchTheWrapperForms:
 
     @settings(max_examples=150, deadline=None)
     @given(scores=score_matrices, ema=st.floats(1e-3, 1e3))
+    # e^(700 - log 0.125) is finite, but 48 * 47 of them overflow the sum
+    @example(scores=np.full((48, 48), 700.0), ema=0.125)
     def test_mine_surrogate_gives_the_same_bytes(self, scores, ema):
         assert outcome(_mine_surrogate, scores, ema) == outcome(wrapped_mine_surrogate, scores, ema)
 
@@ -228,17 +291,44 @@ class TestBoundsMatchTheWrapperForms:
     def test_club_gives_the_same_bytes(self, n, seed, scale, logvar_shift):
         # shifted log-variances reach past the clamp on either side
         rng = np.random.default_rng(seed)
-        head = CondGaussianHead.initialize(2, 2, 5, rng)
-        head.logvar_net.b2 += logvar_shift
+        two = TwoNetHead.initialize(2, 2, 5, rng)
+        two.logvar_net.b2 += logvar_shift
+        head = two.as_groups()
         u, v = scale * rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 2))
-        want = outcome(wrapped_club, head, u, v)
-        want_grad = head.grad.tobytes()
-        head.grad[:] = 0.0
+        want = outcome(wrapped_club, two, u, v)
         assert outcome(club_bound, head, u, v) == want
-        assert head.grad.tobytes() == want_grad
+        assert head.grad.tobytes() == two.grouped(two.grad).tobytes()
         assert outcome(club_bound, head, u, v, value_only=True) == outcome(
-            wrapped_club, head, u, v, value_only=True
+            wrapped_club, two, u, v, value_only=True
         )
+
+    @pytest.mark.parametrize("n", [2, 17, 64])
+    @pytest.mark.parametrize("v_dim", [1, 2])
+    @pytest.mark.parametrize("u_dim", [1, 2, 3])
+    def test_club_head_gives_the_two_nets_bytes(self, u_dim, v_dim, n):
+        # the forward cache, the NLL and its gradient of one two-group head
+        # against the two nets it replaces, drawn from the same stream; the
+        # log-variances are shifted past the clamp for some u widths
+        seed = 100 * u_dim + 10 * v_dim + n
+        head = Mlp.initialize(u_dim, 20, v_dim, np.random.default_rng(seed), groups=2)
+        two = TwoNetHead.initialize(u_dim, v_dim, 20, np.random.default_rng(seed))
+        assert head.theta.tobytes() == two.grouped(two.theta).tobytes()
+        shift = (0.0, -10.5, 10.0)[u_dim - 1]
+        head.b2[v_dim:] += shift
+        two.logvar_net.b2 += shift
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal((n, u_dim)), rng.standard_normal((n, v_dim))
+        got, want = cond_gaussian_forward(head, u, v), wrapped_forward(two, u, v)
+        for name in ("mu", "logvar_raw", "logvar", "inv_var", "v", "resid", "half_sq"):
+            assert as_bytes(getattr(got, name)) == as_bytes(getattr(want, name)), name
+        assert got.net_cache.x.tobytes() == want.mu_cache.x.tobytes() == want.logvar_cache.x.tobytes()
+        assert got.net_cache.hidden.tobytes() == np.vstack(
+            [want.mu_cache.hidden, want.logvar_cache.hidden]
+        ).tobytes()
+        logpdf = cond_gaussian_logpdf(want)
+        two_net_backward(two, want, np.full(n, -1.0 / n))
+        assert as_bytes(_club_nll(head, got)) == as_bytes(-float(np.add.reduce(logpdf) / n))
+        assert head.grad.tobytes() == two.grouped(two.grad).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -254,9 +344,9 @@ class TestBoundsMatchTheWrapperForms:
     def test_clamp_matches_clip_on_any_log_variance(self, raw):
         # a log-variance head whose output is exactly its bias
         rng = np.random.default_rng(0)
-        head = CondGaussianHead.initialize(1, raw.size, 3, rng)
-        head.logvar_net.w2[...] = 0.0
-        head.logvar_net.b2[...] = raw
+        head = Mlp.initialize(1, 3, raw.size, rng, groups=2)
+        head.w2[raw.size :] = 0.0
+        head.b2[raw.size :] = raw
         cache = cond_gaussian_forward(head, np.ones((2, 1)), np.zeros((2, raw.size)))
         assert np.array_equal(cache.logvar_raw, np.vstack([raw, raw]), equal_nan=True)
         assert cache.logvar.tobytes() == np.clip(cache.logvar_raw, LOGVAR_MIN, LOGVAR_MAX).tobytes()
@@ -279,34 +369,39 @@ PLANS = [
 ]
 
 
-@pytest.mark.parametrize("kind", list(MiEstimatorKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("plan", PLANS)
-def test_steps_match_the_per_term_path(kind, plan):
-    lr, steps = 1e-3, 25
+def run_against_the_per_term_path(plan, kind, steps, batch_size, model, lr=1e-3):
+    """Train a TcEstimator and the per-term oracle side by side, asserting
+    the same bytes at each step and at the end. The oracle's terms share the
+    fused estimator's start: a CLUB term's as the :class:`TwoNetHead` of its
+    head's groups."""
     fused = make_tc_estimator(plan, kind, seed=31, lr=lr)
     oracle = make_tc_estimator(plan, kind, seed=31, lr=lr)
-    adams = [AdamState.for_params(t.net.theta, lr=lr) for t in oracle.terms]
-    model = equicorrelated_sigma(plan.n, 0.6)
+    club = kind is MiEstimatorKind.CLUB
+    nets = [TwoNetHead.of(t.net) if club else t.net for t in oracle.terms]
+    adams = [AdamState.for_params(net.theta, lr=lr) for net in nets]
     rng = np.random.default_rng(5)
 
     def oracle_values(batch, value_only):
         values = np.empty(oracle.n_terms)
-        for k, term in enumerate(oracle.terms):
+        for k, (term, net) in enumerate(zip(oracle.terms, nets)):
             u, v = batch[:, oracle.left_cols[k]], batch[:, oracle.right_cols[k]]
-            values[k] = oracle_term(term, u, v, value_only)
+            values[k] = oracle_term(term, net, u, v, value_only)
             if not value_only:
-                adam_step(term.net.theta, term.net.grad, adams[k])
+                adam_step(net.theta, net.grad, adams[k])
         return float(np.sum(values)), values
 
+    def fused_layout(vectors):
+        return np.concatenate([net.grouped(vec) if club else vec for net, vec in zip(nets, vectors)])
+
     for _ in range(steps):
-        batch = sample(model, 16, rng)
+        batch = sample(model, batch_size, rng)
         assert as_bytes(tc_train_step(fused, batch)) == as_bytes(oracle_values(batch, False))
-    batch = sample(model, 16, rng)
+    batch = sample(model, batch_size, rng)
     assert as_bytes(tc_evaluate(fused, batch)) == as_bytes(oracle_values(batch, True))
 
-    assert fused.theta.tobytes() == oracle.theta.tobytes()
-    assert fused.adam.m.tobytes() == np.concatenate([a.m for a in adams]).tobytes()
-    assert fused.adam.v.tobytes() == np.concatenate([a.v for a in adams]).tobytes()
+    assert fused.theta.tobytes() == fused_layout([net.theta for net in nets]).tobytes()
+    assert fused.adam.m.tobytes() == fused_layout([a.m for a in adams]).tobytes()
+    assert fused.adam.v.tobytes() == fused_layout([a.v for a in adams]).tobytes()
     assert fused.adam.step_count == steps == adams[0].step_count
     assert as_bytes(tuple(t.ema_denominator for t in fused.terms)) == as_bytes(
         tuple(t.ema_denominator for t in oracle.terms)
@@ -314,7 +409,17 @@ def test_steps_match_the_per_term_path(kind, plan):
     for term in fused.terms:
         assert np.shares_memory(term.net.theta, fused.theta)
         assert np.shares_memory(term.net.grad, fused.grad)
-        for net in (term.net.mu_net, term.net.logvar_net) if kind is MiEstimatorKind.CLUB else ():
-            assert np.shares_memory(net.theta, fused.theta)
-            assert np.shares_memory(net.grad, fused.grad)
     assert sum(t.net.theta.size for t in fused.terms) == fused.theta.size
+
+
+@pytest.mark.parametrize("kind", list(MiEstimatorKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("plan", PLANS)
+def test_steps_match_the_per_term_path(kind, plan):
+    run_against_the_per_term_path(plan, kind, 25, 16, equicorrelated_sigma(plan.n, 0.6))
+
+
+@pytest.mark.parametrize("path", list(PathKind), ids=lambda p: p.value)
+def test_club_theta_after_300_steps_matches_the_two_net_heads(path):
+    # the workload's batch of 64 at truth 2, long enough for the heads to move
+    model = equicorrelated_sigma(4, solve_rho_for_tc(4, 2.0))
+    run_against_the_per_term_path(build_plan(4, path), MiEstimatorKind.CLUB, 300, 64, model)
