@@ -196,25 +196,35 @@ def make_tc_estimator(
     )
 
 
-def _each_term(est: TcEstimator, batch: np.ndarray, term_fn) -> tuple[float, np.ndarray]:
+def _each_term(
+    est: TcEstimator, batch: np.ndarray, term_fn
+) -> tuple[float | np.ndarray, np.ndarray]:
     """(sum, per-term values) of ``term_fn(term estimator, u, v)`` on each
     term's columns of the batch, views of it where the columns are one range;
     a TrainingError is tagged with its term.
 
-    The callers pass ``train_step`` or ``evaluate`` as this module binds it
-    at call time, so rebinding either name (as a tracer does) sees every call.
+    ``batch`` is one (N, n) batch, giving a float sum and (k,) values, or a
+    (c, N, n) stack of batches, giving (c,) sums and (c, k) values, which
+    only ``evaluate`` takes. The callers pass ``train_step`` or ``evaluate``
+    as this module binds it at call time, so rebinding either name (as a
+    tracer does) sees every call.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != est.plan.n:
-        raise ParameterError(f"batch must be (N, {est.plan.n}), got {batch.shape}")
-    values = np.empty(est.n_terms)
+    if batch.ndim not in (2, 3) or batch.shape[-1] != est.plan.n:
+        raise ParameterError(
+            f"batch must be (N, {est.plan.n}) or a (c, N, {est.plan.n}) stack, got {batch.shape}"
+        )
+    values = np.empty((*batch.shape[:-2], est.n_terms))
     for k, term_est in enumerate(est.terms):
         try:
-            values[k] = term_fn(term_est, batch[:, est.left_cols[k]], batch[:, est.right_cols[k]])
+            values[..., k] = term_fn(
+                term_est, batch[..., est.left_cols[k]], batch[..., est.right_cols[k]]
+            )
         except TrainingError as exc:
             exc.term = k
             raise
-    return float(np.add.reduce(values)), values
+    totals = np.add.reduce(values, axis=-1)
+    return (float(totals) if batch.ndim == 2 else totals), values
 
 
 def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:
@@ -240,6 +250,10 @@ def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarra
     return result
 
 
-def tc_evaluate(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-term bound values on a batch without updating any parameters."""
+def tc_evaluate(est: TcEstimator, batch: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """(sum, per-term values) of the bounds on one (N, n) batch, or (c,) sums
+    and (c, k) values on a (c, N, n) stack, without updating any parameters.
+    A stack gives the bytes of one call per batch unless a CLUB head's pass
+    over all c * N rows gives a row other last bits, as the BLAS may when N
+    is not a multiple of 8."""
     return _each_term(est, batch, evaluate)

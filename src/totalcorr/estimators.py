@@ -74,16 +74,18 @@ def create_term_estimator(
     return MiTermEstimator(kind, u_dim, v_dim, net)
 
 
-def _check_pair_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """u and v as float64 arrays, 2-d with equal row counts of at least 2: the one
+def _check_pair_batch(u, v, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as float64 arrays, 2-d with equal row counts of at least 2, or,
+    where ``stack``, also 3-d: a stack of equally many such batches. The one
     intake of a pair batch, for :func:`_bound` and :func:`club_bound` only."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2:
-        raise ParameterError("u and v must be 2-d batches")
-    if u.shape[0] != v.shape[0]:
-        raise ParameterError(f"batch sizes disagree: {u.shape[0]} vs {v.shape[0]}")
-    if u.shape[0] < 2:
+    if u.ndim != v.ndim or u.ndim not in ((2, 3) if stack else (2,)):
+        raise ParameterError("u and v must be 2-d batches" + (" or 3-d stacks" if stack else ""))
+    if u.shape[:-1] != v.shape[:-1]:
+        rows = ("x".join(map(str, a.shape[:-1])) for a in (u, v))
+        raise ParameterError("batch sizes disagree: {} vs {}".format(*rows))
+    if u.shape[-2] < 2:
         raise ParameterError("contrastive bounds need a batch of at least 2")
     return u, v
 
@@ -236,27 +238,44 @@ def club_bound(
 
 def _club_bound(
     head: Mlp, u: np.ndarray, v: np.ndarray, value_only: bool
-) -> tuple[float, float] | float:
-    """:func:`club_bound` on a batch that :func:`_check_pair_batch` took in.
+) -> tuple[float, float] | float | np.ndarray:
+    """:func:`club_bound` on a batch that :func:`_check_pair_batch` took in,
+    or the (c,) values of a stack that ``evaluate`` took in: one head pass
+    over all its rows, and :func:`_club_values`."""
+    if v.ndim == 3:
+        cache = cond_gaussian_forward(head, u.reshape(-1, u.shape[-1]), v.reshape(-1, v.shape[-1]))
+        return _club_values(cache, v)
+    cache = cond_gaussian_forward(head, u, v)
+    value = float(_club_values(cache, v))
+    if value_only:
+        return value
+    return value, _club_nll(head, cache)
+
+
+def _club_values(cache: CondGaussianCache, v: np.ndarray) -> np.ndarray:
+    """CLUB's value on the (N, d) batch ``v``, a 0-d array, or on each batch
+    of the (c, N, d) stack ``v``, a (c,) array, from the head's cache on its
+    rows in order.
 
     For a diagonal Gaussian q the all-pairs mean needs only the batch mean
     m1_k and biased variance s_k of each column of v, since
     mean_j (v_jk - mu_ik)^2 = s_k + (m1_k - mu_ik)^2, and the log-normalizers
     cancel exactly, so the value is
     0.5 * mean_i sum_k inv_var_ik * [s_k + (m1_k - mu_ik)^2 - (v_ik - mu_ik)^2]:
-    O(N d) work, with no (N, N) matrix.
+    O(N d) work, with no (N, N) matrix. The moments reduce along each batch's
+    rows, and each batch's N * d terms are summed in row-major order, so a
+    batch gives the same reductions alone as in a stack.
     """
-    cache = cond_gaussian_forward(head, u, v)
-    n = v.shape[0]
-    m1 = np.add.reduce(v, axis=0) / n
+    n = v.shape[-2]
+    mu, inv_var, half_sq = cache.mu, cache.inv_var, cache.half_sq
+    if v.ndim == 3:
+        mu, inv_var, half_sq = (a.reshape(v.shape) for a in (mu, inv_var, half_sq))
+    m1 = np.add.reduce(v, axis=-2, keepdims=True) / n
     centered = v - m1
-    s = np.add.reduce(centered * centered, axis=0) / n
-    gap = m1 - cache.mu
-    contrast = 0.5 * cache.inv_var * (s + gap * gap) - cache.half_sq
-    value = float(np.add.reduce(contrast, axis=None) / n)
-    if value_only:
-        return value
-    return value, _club_nll(head, cache)
+    s = np.add.reduce(centered * centered, axis=-2, keepdims=True) / n
+    gap = m1 - mu
+    contrast = 0.5 * inv_var * (s + gap * gap) - half_sq
+    return np.add.reduce(contrast.reshape(v.shape[:-2] + (-1,)), axis=-1) / n
 
 
 def _club_nll(head: Mlp, cache: CondGaussianCache) -> float:
@@ -269,30 +288,39 @@ def _club_nll(head: Mlp, cache: CondGaussianCache) -> float:
 
 def _bound(
     est: MiTermEstimator, u: np.ndarray, v: np.ndarray, value_only: bool
-) -> tuple[float, float] | float:
+) -> tuple[float, float] | float | np.ndarray:
     """The estimator's bound on the pair batch (u, v), of widths (u_dim, v_dim).
 
-    With value_only=True, the value alone. Otherwise (value, loss), with the
-    loss's gradient in ``est.net.grad`` and MINE's moving average advanced.
+    With value_only=True, the value alone, and (u, v) may also be a
+    (c, N, ·) stack of batches, whose c values come back as an array: a CLUB
+    head runs once over all the stack's rows, while a critic scores one
+    batch's pair grid at a time, as one grid is already N * N rows (4096 at
+    N = 64). Otherwise (value, loss) of one batch, with the loss's
+    gradient in ``est.net.grad`` and MINE's moving average advanced.
     """
-    u, v = _check_pair_batch(u, v)
-    if u.shape[1] != est.u_dim or v.shape[1] != est.v_dim:
+    u, v = _check_pair_batch(u, v, stack=value_only)
+    if u.shape[-1] != est.u_dim or v.shape[-1] != est.v_dim:
         raise ParameterError(
-            f"expected widths ({est.u_dim}, {est.v_dim}), got ({u.shape[1]}, {v.shape[1]})"
+            f"expected widths ({est.u_dim}, {est.v_dim}), got ({u.shape[-1]}, {v.shape[-1]})"
         )
     if est.kind is MiEstimatorKind.CLUB:
         return _club_bound(est.net, u, v, value_only)
-    scores, cache = pair_scores(est.net, u, v)
     bound = LOWER_BOUNDS[est.kind]
     if value_only:
-        return bound(scores, est.ema_denominator, value_only=True)
+        values = [
+            bound(pair_scores(est.net, ub, vb)[0], est.ema_denominator, value_only=True)
+            for ub, vb in zip(u.reshape(-1, *u.shape[-2:]), v.reshape(-1, *v.shape[-2:]))
+        ]
+        return np.array(values) if u.ndim == 3 else values[0]
+    scores, cache = pair_scores(est.net, u, v)
     value, loss, grad_scores, est.ema_denominator = bound(scores, est.ema_denominator)
     est.net.backward(cache, grad_scores.reshape(-1, 1))
     return value, loss
 
 
-def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
-    """Current bound value on a batch, without any parameter update."""
+def evaluate(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Current bound value on a batch, or the (c,) values of a (c, N, ·)
+    stack of batches, without any parameter update."""
     return _bound(est, u, v, value_only=True)
 
 

@@ -34,7 +34,7 @@ from .decomposition import (
     tc_evaluate,
     tc_train_step,
 )
-from .errors import ParameterError, TraceParseError, TrainingError
+from .errors import ParameterError, TraceParseError, TrainingError, check_positive_int
 from .estimators import MiEstimatorKind
 from .gaussian import GaussianModel, equicorrelated_sigma, sample, solve_rho_for_tc, tc_closed_form
 from .nn import DEFAULT_HIDDEN, DEFAULT_LR
@@ -79,6 +79,9 @@ _METRICS_FLOATS = [name for name, dtype, _ in _METRICS_ROW if dtype is np.float6
 # Steps per block of trace lines: persist_trace formats and writes one block
 # at a time, so a trace file's text is never held whole in memory.
 _BLOCK_STEPS = 2048
+# Rows per evaluation stack. It caps a CLUB head pass's hidden buffer at
+# (40, 1024) float64, 320 KB, the size of the critics' shared float32 one.
+_EVAL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -258,19 +261,28 @@ def evaluate_metrics(
     """(bias, variance, mse) of frozen-parameter estimates on fresh batches.
 
     Variance is the biased sample variance, so mse = bias^2 + variance holds
-    as an identity over the same evaluation sample. Raises TrainingError if
-    any estimate is not finite.
+    as an identity over the same evaluation sample. Raises TrainingError,
+    naming the batch, if any estimate is not finite.
+
+    The batches go c = max(1, _EVAL_ROWS // batch_size) at a time into one
+    ``sample`` of c * batch_size rows, the same stream and bytes as c draws,
+    and one ``tc_evaluate`` of the (c, N, n) stack.
     """
+    eval_batches = check_positive_int("eval_batches", eval_batches)
+    batch_size = check_positive_int("batch_size", batch_size)
     if eval_batches < 2:
         raise ParameterError("eval_batches must be at least 2")
     truth = tc_closed_form(model)
+    chunk = max(1, _EVAL_ROWS // batch_size)
     estimates = np.empty(eval_batches)
-    for b in range(eval_batches):
-        estimates[b], _ = tc_evaluate(est, sample(model, batch_size, rng))
+    for start in range(0, eval_batches, chunk):
+        c = min(chunk, eval_batches - start)
+        stack = sample(model, c * batch_size, rng).reshape(c, batch_size, model.dim)
+        estimates[start : start + c], _ = tc_evaluate(est, stack)
     bad = np.flatnonzero(~np.isfinite(estimates))
     if bad.size:
         raise TrainingError(
-            f"non-finite estimate {estimates[bad[0]]!r} on evaluation batch {bad[0]}",
+            f"non-finite estimate {float(estimates[bad[0]])!r} on evaluation batch {bad[0]}",
             kind=est.kind.value,
         )
     bias = float(np.mean(estimates) - truth)

@@ -579,3 +579,66 @@ class TestColumnViews:
         batch = sample(model, 16, rng)
         assert tc_evaluate(est, batch)[1].tobytes() == tc_evaluate(explicit, batch)[1].tobytes()
         assert est.theta.tobytes() == explicit.theta.tobytes()
+
+
+def _trained_and_stack(kind, path, n_batch, c):
+    """A 4-variable estimator after 20 steps at batch ``n_batch``, so its
+    parameters and MINE's moving average are off their start, and a
+    (c, n_batch, 4) stack of fresh batches."""
+    est = make_tc_estimator(build_plan(4, path), kind, seed=5, lr=1e-2)
+    model = equicorrelated_sigma(4, 0.6)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        tc_train_step(est, sample(model, n_batch, rng))
+    return est, sample(model, c * n_batch, rng).reshape(c, n_batch, 4)
+
+
+def _one_call_per_batch(est, stack):
+    calls = [tc_evaluate(est, batch) for batch in stack]
+    return np.array([total for total, _ in calls]), np.array([values for _, values in calls])
+
+
+class TestStackedEvaluate:
+    @pytest.mark.parametrize("path", list(PathKind), ids=lambda p: p.value)
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n_batch, c", [(8, 128), (64, 16)])
+    def test_stack_gives_the_bytes_of_one_call_per_batch(self, kind, path, n_batch, c):
+        est, stack = _trained_and_stack(kind, path, n_batch, c)
+        theta = est.theta.copy()
+        totals, values = tc_evaluate(est, stack)
+        assert totals.shape == (c,) and values.shape == (c, est.n_terms)
+        one_totals, one_values = _one_call_per_batch(est, stack)
+        assert totals.tobytes() == one_totals.tobytes()
+        assert values.tobytes() == one_values.tobytes()
+        assert est.theta.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("path", list(PathKind), ids=lambda p: p.value)
+    def test_club_at_batch_17_agrees_within_a_few_ulps(self, path):
+        """Not byte for byte at N = 17: a CLUB head's one dgemm over all
+        17 * c rows of the stack blocks its columns (rows of the batch)
+        differently from a dgemm over one batch's 17, and the BLAS gives the
+        edge columns of a block other last bits. On the 2-core Xeon's
+        OpenBLAS a head pass gives every row the same bits whatever the
+        pass's row count only when N is a multiple of 8 (of 4 when v is one
+        column wide); at N = 2 to 69 otherwise the stack and the one-batch
+        calls may differ in the last bits. The values here agree to within
+        8 ulps of the stack's largest value."""
+        est, stack = _trained_and_stack(MiEstimatorKind.CLUB, path, 17, 60)
+        totals, values = tc_evaluate(est, stack)
+        one_totals, one_values = _one_call_per_batch(est, stack)
+        for got, want in ((values, one_values), (totals, one_totals)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=8 * np.spacing(np.abs(want).max()))
+
+    def test_training_takes_one_batch_not_a_stack(self):
+        est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.CLUB, seed=0)
+        theta = est.theta.copy()
+        with pytest.raises(ParameterError, match="u and v must be 2-d batches"):
+            tc_train_step(est, np.zeros((2, 8, 4)))
+        assert est.adam.step_count == 0 and np.array_equal(est.theta, theta)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 3), (2, 8, 5), (1, 2, 8, 4)])
+    def test_batch_shape_is_checked(self, shape):
+        est = make_tc_estimator(build_plan(4, PathKind.LINE), MiEstimatorKind.NWJ, seed=0)
+        message = re.escape(f"batch must be (N, 4) or a (c, N, 4) stack, got {shape}")
+        with pytest.raises(ParameterError, match=message):
+            tc_evaluate(est, np.zeros(shape))

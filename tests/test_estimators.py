@@ -627,7 +627,9 @@ class TestTrainStep:
         calls = []
         intake = estimators._check_pair_batch
         monkeypatch.setattr(
-            estimators, "_check_pair_batch", lambda u, v: calls.append(1) or intake(u, v)
+            estimators,
+            "_check_pair_batch",
+            lambda u, v, **kw: calls.append(1) or intake(u, v, **kw),
         )
         train_step(est, u, v)
         evaluate(est, u, v)
@@ -658,3 +660,46 @@ class TestTrainStep:
         calls.clear()
         evaluate(est, u, v)
         assert calls == [("forward", est.net)]
+        # a stack of batches too, one head pass over all its rows
+        calls.clear()
+        evaluate(est, np.stack([u] * 3), np.stack([v] * 3))
+        assert calls == [("forward", est.net)]
+
+
+class TestStackedEvaluate:
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    def test_a_stack_is_evaluated_batch_by_batch(self, kind):
+        rng = np.random.default_rng(22)
+        est = create_term_estimator(kind, 2, 1, rng)
+        u, v = rng.standard_normal((5, 16, 2)), rng.standard_normal((5, 16, 1))
+        got = evaluate(est, u, v)
+        assert got.shape == (5,) and got.dtype == np.float64
+        assert got.tobytes() == np.array([evaluate(est, *batch) for batch in zip(u, v)]).tobytes()
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    @pytest.mark.parametrize(
+        "u_shape, v_shape, message",
+        [
+            ((2, 8, 1), (3, 8, 1), "batch sizes disagree: 2x8 vs 3x8"),
+            ((2, 8, 1), (8, 1), "u and v must be 2-d batches or 3-d stacks"),
+            ((2, 1, 1), (2, 1, 1), "need a batch of at least 2"),
+            ((1, 2, 8, 1), (1, 2, 8, 1), "u and v must be 2-d batches or 3-d stacks"),
+        ],
+    )
+    def test_malformed_stack_rejected(self, kind, u_shape, v_shape, message):
+        est = create_term_estimator(kind, 1, 1, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match=message):
+            evaluate(est, np.zeros(u_shape), np.zeros(v_shape))
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind))
+    def test_training_and_club_bound_take_one_batch(self, kind):
+        est = create_term_estimator(kind, 1, 1, np.random.default_rng(0))
+        before = est.net.theta.copy()
+        u = v = np.zeros((2, 8, 1))
+        with pytest.raises(ParameterError, match="u and v must be 2-d batches$"):
+            train_step(est, u, v)
+        if kind is MiEstimatorKind.CLUB:
+            for value_only in (False, True):
+                with pytest.raises(ParameterError, match="u and v must be 2-d batches$"):
+                    club_bound(est.net, u, v, value_only)
+        assert not est.net.grad.any() and np.array_equal(est.net.theta, before)

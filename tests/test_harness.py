@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totalcorr import estimators, harness
-from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator
+from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator, tc_evaluate
 from totalcorr.errors import ParameterError, TraceParseError, TrainingError
 from totalcorr.estimators import MiEstimatorKind
-from totalcorr.gaussian import equicorrelated_sigma, tc_closed_form
+from totalcorr.gaussian import equicorrelated_sigma, sample, tc_closed_form
 from totalcorr.harness import (
     METRICS_HEADER,
     ExperimentConfig,
@@ -372,6 +372,70 @@ class TestEvaluateMetrics:
         est.terms[1].net.w2[...] = np.nan
         with pytest.raises(TrainingError, match="non-finite estimate"):
             evaluate_metrics(est, equicorrelated_sigma(4, 0.5), 4, np.random.default_rng(0), 8)
+
+    @pytest.mark.parametrize(
+        "name, value", [("eval_batches", 2.5), ("eval_batches", True), ("batch_size", 8.0), ("batch_size", True)]
+    )
+    def test_counts_must_be_integers(self, name, value):
+        est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.CLUB, seed=0)
+        counts = {"eval_batches": 4, "batch_size": 8, name: value}
+        message = re.escape(f"{name} must be a positive integer, got {value!r}")
+        with pytest.raises(ParameterError, match=message):
+            evaluate_metrics(est, equicorrelated_sigma(4, 0.5), rng=np.random.default_rng(0), **counts)
+
+    def test_one_draw_of_c_batches_is_c_draws_of_one(self):
+        # the chunked draw keeps the evaluation stream, byte for byte
+        model = equicorrelated_sigma(4, 0.5)
+        for n_batch in range(2, 70):
+            c = max(1, harness._EVAL_ROWS // n_batch)
+            rng = np.random.default_rng(n_batch)
+            one_by_one = np.concatenate([sample(model, n_batch, rng) for _ in range(c)])
+            assert sample(model, c * n_batch, np.random.default_rng(n_batch)).tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n_batch, batches", [(8, 20), (64, 40)])
+    def test_metrics_are_those_of_one_batch_at_a_time(self, kind, n_batch, batches):
+        est = make_tc_estimator(build_plan(4, PathKind.TREE), kind, seed=2)
+        model = equicorrelated_sigma(4, 0.5)
+        rng = np.random.default_rng(9)
+        estimates = np.array([tc_evaluate(est, sample(model, n_batch, rng))[0] for _ in range(batches)])
+        truth = tc_closed_form(model)
+        bias = float(np.mean(estimates) - truth)
+        variance = float(np.mean((estimates - np.mean(estimates)) ** 2))
+        mse = float(np.mean((estimates - truth) ** 2))
+        got = evaluate_metrics(est, model, batches, np.random.default_rng(9), n_batch)
+        assert got == (bias, variance, mse)
+
+    def test_batches_go_in_chunks_within_the_row_budget(self, monkeypatch):
+        est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.CLUB, seed=0)
+        shapes = []
+        monkeypatch.setattr(
+            harness, "tc_evaluate", lambda est, stack: shapes.append(stack.shape) or tc_evaluate(est, stack)
+        )
+        evaluate_metrics(est, equicorrelated_sigma(4, 0.5), 100, np.random.default_rng(0), 64)
+        assert shapes == [(16, 64, 4)] * 6 + [(4, 64, 4)]
+        scratch = est.terms[0].net.scratch
+        rows = [a.shape[-1] for a, _ in [*scratch.inputs.values(), *scratch.hidden.values()]]
+        assert max(rows) == harness._EVAL_ROWS
+
+    @pytest.mark.parametrize("kind", list(MiEstimatorKind), ids=lambda k: k.value)
+    def test_non_finite_batch_is_named_by_its_index_in_the_run(self, kind, monkeypatch):
+        # batch 20 of 40 is batch 4 of the second chunk of 16
+        est = make_tc_estimator(build_plan(4, PathKind.LINE), kind, seed=0)
+        drawn = []
+
+        def sample_with_a_nan(model, rows, rng):
+            x = sample(model, rows, rng)
+            first = sum(drawn)
+            if first <= 20 * 64 < first + rows:
+                x[20 * 64 - first, 0] = np.nan
+            drawn.append(rows)
+            return x
+
+        monkeypatch.setattr(harness, "sample", sample_with_a_nan)
+        with pytest.raises(TrainingError, match=r"non-finite estimate nan on evaluation batch 20 \["):
+            evaluate_metrics(est, equicorrelated_sigma(4, 0.5), 40, np.random.default_rng(0), 64)
+        assert drawn == [16 * 64, 16 * 64, 8 * 64]
 
 
 class TestRunExperiment:
