@@ -19,12 +19,22 @@ from .errors import ParameterError, TrainingError, check_positive_int
 from .estimators import (
     MiEstimatorKind,
     MiTermEstimator,
+    check_step,
+    club_pass,
     create_term_estimator,
     evaluate,
     train_step,
 )
 from .gaussian import GaussianModel, IndexSet, mi_closed_form
-from .nn import DEFAULT_HIDDEN, DEFAULT_LR, AdamState, MlpScratch, adam_step, pack_parameters
+from .nn import (
+    DEFAULT_HIDDEN,
+    DEFAULT_LR,
+    AdamState,
+    GaussianHeads,
+    MlpScratch,
+    adam_update,
+    pack_parameters,
+)
 
 
 class PathKind(Enum):
@@ -134,6 +144,9 @@ class TcEstimator:
     index term k's sides in them: a ``slice`` where the side's variables form
     one contiguous range, as in every plan :func:`build_plan` makes, so the
     term reads a view of the batch; an index array otherwise, which copies.
+    A CLUB estimator's heads run as one pass, ``heads`` (``nn.GaussianHeads``),
+    which reads the same columns through its own maps; the other kinds have
+    none.
     """
 
     plan: DecompositionPlan
@@ -144,6 +157,7 @@ class TcEstimator:
     adam: AdamState = field(repr=False)
     left_cols: list[slice | np.ndarray] = field(repr=False)
     right_cols: list[slice | np.ndarray] = field(repr=False)
+    heads: GaussianHeads | None = field(default=None, repr=False)
 
     @property
     def n_terms(self) -> int:
@@ -184,6 +198,11 @@ def make_tc_estimator(
     scratch = MlpScratch(dtype=np.float64 if kind is MiEstimatorKind.CLUB else np.float32)
     for term in terms:
         term.net.scratch = scratch
+    heads = None
+    if kind is MiEstimatorKind.CLUB and terms:
+        u_cols = [term.left.positions() for term in plan.terms]
+        v_cols = [term.right.positions() for term in plan.terms]
+        heads = GaussianHeads([t.net for t in terms], theta, grad, u_cols, v_cols, plan.n)
     return TcEstimator(
         plan=plan,
         kind=kind,
@@ -193,55 +212,84 @@ def make_tc_estimator(
         adam=AdamState.for_params(theta, lr=lr),
         left_cols=[columns(term.left) for term in plan.terms],
         right_cols=[columns(term.right) for term in plan.terms],
+        heads=heads,
     )
 
 
 def _each_term(
-    est: TcEstimator, batch: np.ndarray, term_fn
+    est: TcEstimator, batch: np.ndarray, value_only: bool
 ) -> tuple[float | np.ndarray, np.ndarray]:
-    """(sum, per-term values) of ``term_fn(term estimator, u, v)`` on each
-    term's columns of the batch, views of it where the columns are one range;
-    a TrainingError is tagged with its term.
-
-    ``batch`` is one (N, n) batch, giving a float sum and (k,) values, or a
-    (c, N, n) stack of batches, giving (c,) sums and (c, k) values, which
-    only ``evaluate`` takes. The callers pass ``train_step`` or ``evaluate``
-    as this module binds it at call time, so rebinding either name (as a
-    tracer does) sees every call.
+    """(sum, per-term values) of every term's bound on its columns of the
+    batch, trained once or, with value_only, evaluated: one (N, n) batch
+    gives a float sum and (k,) values, and a (c, N, n) stack, which only
+    value_only takes, (c,) sums and (c, k) values. A critic term runs
+    ``train_step`` or ``evaluate`` as this module binds them at call time,
+    on views of the batch where its columns are one range; CLUB's heads run
+    as one :func:`club_pass`, and each head's loss, then its gradient, is
+    checked in term order. A TrainingError is tagged with its term, and a
+    CLUB pass's with its kind too, as no ``train_step`` ran to tag it.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim not in (2, 3) or batch.shape[-1] != est.plan.n:
         raise ParameterError(
             f"batch must be (N, {est.plan.n}) or a (c, N, {est.plan.n}) stack, got {batch.shape}"
         )
-    values = np.empty((*batch.shape[:-2], est.n_terms))
-    for k, term_est in enumerate(est.terms):
-        try:
-            values[..., k] = term_fn(
-                term_est, batch[..., est.left_cols[k]], batch[..., est.right_cols[k]]
-            )
-        except TrainingError as exc:
-            exc.term = k
-            raise
+    if batch.ndim == 3 and not value_only:
+        raise ParameterError(
+            f"training takes one (N, {est.plan.n}) batch, got a stack {batch.shape}"
+        )
+    if batch.shape[-2] < 2:
+        raise ParameterError("contrastive bounds need a batch of at least 2")
+    k = 0
+    try:
+        if est.heads is not None:
+            values, losses = club_pass(est.heads, (batch,), value_only)
+            for k, loss in enumerate([] if value_only else losses):
+                check_step(loss, est.terms[k].net.grad)
+        else:
+            term_fn = evaluate if value_only else train_step
+            values = np.empty((*batch.shape[:-2], est.n_terms))
+            for k, term_est in enumerate(est.terms):
+                values[..., k] = term_fn(
+                    term_est, batch[..., est.left_cols[k]], batch[..., est.right_cols[k]]
+                )
+    except TrainingError as exc:
+        if est.heads is not None:
+            exc.kind, k = est.kind.value, _charged_term(est, batch, k)
+        exc.term = k
+        raise
     totals = np.add.reduce(values, axis=-1)
     return (float(totals) if batch.ndim == 2 else totals), values
+
+
+def _charged_term(est: TcEstimator, batch: np.ndarray, k: int) -> int:
+    """The term that a failed CLUB pass, failing first at term ``k``, is
+    charged to. The pass's first layer spreads a non-finite entry of the
+    batch to every head, so that is the first term whose columns hold one,
+    the term that would fail first on its own; else ``k``."""
+    bad = ~np.isfinite(batch).all(axis=0)
+    for j in range(est.n_terms):
+        if bad[est.left_cols[j]].any() or bad[est.right_cols[j]].any():
+            return j
+    return k
 
 
 def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Train every term once on the batch; returns (sum, per-term values).
 
     Each term writes its gradient into its slice of ``est.grad``, then one
-    Adam step moves ``est.theta``. All or nothing: ``train_step`` checks
-    each term's loss, then its gradient, so the first failing term in term
-    order raises and no parameter, moment, step count or MINE moving average
-    changes. The TrainingError's estimator, term and step are set by
-    ``train_step``, ``_each_term`` and this function.
+    Adam update moves ``est.theta``, with no second scan of the checked
+    gradient. All or nothing: each term's loss, then its gradient, is
+    checked in term order, so the first failing term raises and no
+    parameter, moment, step count or MINE moving average changes. The
+    TrainingError's estimator and term are set by ``_each_term`` (and by
+    ``train_step``), its step by this function.
     """
     step = est.adam.step_count + 1
     emas = [t.ema_denominator for t in est.terms]
     try:
-        result = _each_term(est, batch, train_step)
-        adam_step(est.theta, est.grad, est.adam)
+        result = _each_term(est, batch, value_only=False)
+        adam_update(est.theta, est.grad, est.adam)
     except TrainingError as exc:
         for term_est, ema in zip(est.terms, emas):
             term_est.ema_denominator = ema
@@ -253,7 +301,7 @@ def tc_train_step(est: TcEstimator, batch: np.ndarray) -> tuple[float, np.ndarra
 def tc_evaluate(est: TcEstimator, batch: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """(sum, per-term values) of the bounds on one (N, n) batch, or (c,) sums
     and (c, k) values on a (c, N, n) stack, without updating any parameters.
-    A stack gives the bytes of one call per batch unless a CLUB head's pass
-    over all c * N rows gives a row other last bits, as the BLAS may when N
-    is not a multiple of 8."""
-    return _each_term(est, batch, evaluate)
+    A stack gives the bytes of one call per batch unless a CLUB pass over
+    all c * N rows gives a row other last bits, as the BLAS may when N is
+    not a multiple of 8."""
+    return _each_term(est, batch, value_only=True)

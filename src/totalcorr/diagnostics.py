@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decomposition import PathKind, build_plan, closed_form_plan_sum
+from .decomposition import PathKind, build_plan, closed_form_plan_sum, make_tc_estimator
 from .estimators import (
     MiEstimatorKind,
     _club_nll,
@@ -34,7 +34,7 @@ from .gaussian import (
     solve_rho_for_tc,
     tc_closed_form,
 )
-from .nn import Mlp, cond_gaussian_forward, logvar_passes
+from .nn import Mlp, logvar_passes
 
 FD_STEP = 1e-5  # the central-difference step of every gradient probe
 
@@ -71,7 +71,8 @@ def critic_probe(
 
 
 def make_loss_probes(rng: np.random.Generator) -> list[LossProbe]:
-    """The four estimator losses on one fixed dim-4 batch of 16, split 2 + 2."""
+    """The four estimator losses on one fixed dim-4 batch of 16: the critics'
+    on its split 2 + 2, CLUB's summed over the three terms of its TREE path."""
     data = sample(equicorrelated_sigma(4, 0.7), 16, rng)
     u, v = data[:, :2], data[:, 2:]
     probes = []
@@ -88,15 +89,19 @@ def make_loss_probes(rng: np.random.Generator) -> list[LossProbe]:
         critic = create_term_estimator(kind, 2, 2, rng).net
         probes.append(critic_probe(kind.value, critic, u, v, loss_fn))
 
-    head = create_term_estimator(MiEstimatorKind.CLUB, 2, 2, rng).net
+    # CLUB's pass over all heads of a TREE estimator on the batch: a head
+    # with a two-wide v and two with one, so the checker also covers the
+    # block placement and the gather maps of the first layer and b2
+    plan, seed = build_plan(4, PathKind.TREE), int(rng.integers(2**32))
+    est = make_tc_estimator(plan, MiEstimatorKind.CLUB, seed=seed)
 
     def club_lgs():
-        cache = cond_gaussian_forward(head, u, v)
-        masks = (cache.net_cache.hidden > 0, logvar_passes(cache))
+        cache = est.heads.forward(data)
+        masks = (cache.hidden > 0, logvar_passes(cache))
         sig = b"".join(np.packbits(m).tobytes() for m in masks)
-        return _club_nll(head, cache), head.grad, sig
+        return float(np.add.reduce(_club_nll(cache))), est.grad, sig
 
-    return probes + [LossProbe("CLUB", head.theta, club_lgs)]
+    return probes + [LossProbe("CLUB", est.theta, club_lgs)]
 
 
 @dataclass

@@ -4,7 +4,10 @@ MINE, NWJ and InfoNCE are lower bounds scored by a scalar critic f(u, v);
 CLUB is an upper bound built on a conditional Gaussian approximation q(v | u).
 Product-of-marginals samples are formed from the off-diagonal pairs of the
 batch's score matrix (all N(N-1) of them), so no extra shuffling randomness
-enters a training step.
+enters a training step. The q heads of all of an estimator's terms run as one
+pass (:func:`club_pass`, ``nn.GaussianHeads``), which fuses their elementwise
+work and keeps per head only the matmuls and the sums whose order a head on
+its own fixed; a lone head is its one-head case.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ import numpy as np
 
 from .errors import ParameterError, TrainingError, check_positive_int
 from .nn import (
-    CondGaussianCache,
     DEFAULT_HIDDEN,
+    GaussianCache,
+    GaussianHeads,
     Mlp,
     MlpCache,
-    cond_gaussian_forward,
     cond_gaussian_logpdf,
-    cond_gaussian_logpdf_backward,
 )
 
 MINE_EMA_DECAY = 0.99
@@ -240,50 +242,67 @@ def _club_bound(
     head: Mlp, u: np.ndarray, v: np.ndarray, value_only: bool
 ) -> tuple[float, float] | float | np.ndarray:
     """:func:`club_bound` on a batch that :func:`_check_pair_batch` took in,
-    or the (c,) values of a stack that ``evaluate`` took in: one head pass
-    over all its rows, and :func:`_club_values`."""
-    if v.ndim == 3:
-        cache = cond_gaussian_forward(head, u.reshape(-1, u.shape[-1]), v.reshape(-1, v.shape[-1]))
-        return _club_values(cache, v)
-    cache = cond_gaussian_forward(head, u, v)
-    value = float(_club_values(cache, v))
+    or the (c,) values of a stack that ``evaluate`` took in: the one-head
+    :func:`club_pass` on the batch [u | v]."""
+    for side, x, dim in (("u", u, head.in_dim), ("v", v, head.out_dim)):
+        if x.shape[-1] != dim:
+            raise ParameterError(f"{side} must have width {dim}, got {x.shape[-1]}")
+    values, losses = club_pass(GaussianHeads.of_pair(head), (u, v), value_only)
     if value_only:
-        return value
-    return value, _club_nll(head, cache)
+        return values[..., 0] if u.ndim == 3 else float(values[0])
+    return float(values[0]), float(losses[0])
 
 
-def _club_values(cache: CondGaussianCache, v: np.ndarray) -> np.ndarray:
-    """CLUB's value on the (N, d) batch ``v``, a 0-d array, or on each batch
-    of the (c, N, d) stack ``v``, a (c,) array, from the head's cache on its
-    rows in order.
+def club_pass(
+    heads: GaussianHeads, parts: tuple[np.ndarray, ...], value_only: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """CLUB on every head of the pass, from one forward of the batch whose
+    columns are ``parts`` side by side: the (k,) values on an (N, width)
+    batch, or the (c, k) values on a (c, N, width) stack, which only
+    value_only takes; and, unless value_only, the (k,) losses, each head's
+    NLL (:func:`_club_nll`), with their gradient in ``heads.grad``. The
+    parts are float64 and their shapes checked."""
+    n, stacked = parts[0].shape[-2], parts[0].ndim == 3
+    cache = heads.forward(*(p.reshape(-1, p.shape[-1]) for p in parts))
+    values = _club_values(cache, n)
+    if value_only:
+        return (values if stacked else values[0]), None
+    return values[0], _club_nll(cache)
+
+
+def _club_values(cache: GaussianCache, n: int) -> np.ndarray:
+    """The (c, k) CLUB values of every head on each batch of N = ``n`` rows
+    of the cache's c * n, in order.
 
     For a diagonal Gaussian q the all-pairs mean needs only the batch mean
     m1_k and biased variance s_k of each column of v, since
     mean_j (v_jk - mu_ik)^2 = s_k + (m1_k - mu_ik)^2, and the log-normalizers
     cancel exactly, so the value is
     0.5 * mean_i sum_k inv_var_ik * [s_k + (m1_k - mu_ik)^2 - (v_ik - mu_ik)^2]:
-    O(N d) work, with no (N, N) matrix. The moments reduce along each batch's
-    rows, and each batch's N * d terms are summed in row-major order, so a
-    batch gives the same reductions alone as in a stack.
+    O(N d) work, with no (N, N) matrix. The moments reduce along each
+    batch's rows, and each batch's N * d terms are summed in row-major
+    order, as ``GaussianHeads.head_sums`` sums each head's block,
+    so a batch gives the same reductions alone as in a stack.
     """
-    n = v.shape[-2]
-    mu, inv_var, half_sq = cache.mu, cache.inv_var, cache.half_sq
-    if v.ndim == 3:
-        mu, inv_var, half_sq = (a.reshape(v.shape) for a in (mu, inv_var, half_sq))
-    m1 = np.add.reduce(v, axis=-2, keepdims=True) / n
+    heads = cache.owner
+    mu, inv_var, half_sq, v = (
+        a.reshape(len(a), -1, n) for a in (cache.mu, cache.inv_var, cache.half_sq, cache.v)
+    )
+    m1 = heads.head_sums(v, per_feature=True)[..., None] / n
     centered = v - m1
-    s = np.add.reduce(centered * centered, axis=-2, keepdims=True) / n
+    s = heads.head_sums(centered * centered, per_feature=True)[..., None] / n
     gap = m1 - mu
     contrast = 0.5 * inv_var * (s + gap * gap) - half_sq
-    return np.add.reduce(contrast.reshape(v.shape[:-2] + (-1,)), axis=-1) / n
+    return (heads.head_sums(contrast) / n).T
 
 
-def _club_nll(head: Mlp, cache: CondGaussianCache) -> float:
-    """-mean_i log q(v_i | u_i) from the cache; its gradient goes into ``head.grad``."""
+def _club_nll(cache: GaussianCache) -> np.ndarray:
+    """Each head's -mean_i log q(v_i | u_i), (k,), from the cache; their
+    gradient goes into the heads' ``grad``."""
     logpdf = cond_gaussian_logpdf(cache)
-    n = logpdf.shape[0]
-    cond_gaussian_logpdf_backward(head, cache, np.full(n, -1.0 / n))
-    return -float(np.add.reduce(logpdf) / n)
+    n = logpdf.shape[-1]
+    cache.owner.backward(cache, -1.0 / n)
+    return -(np.add.reduce(logpdf, axis=-1) / n)
 
 
 def _bound(
@@ -337,11 +356,16 @@ def train_step(est: MiTermEstimator, u: np.ndarray, v: np.ndarray) -> float:
     """
     try:
         value, loss = _bound(est, u, v, value_only=False)
-        if not math.isfinite(loss):
-            raise TrainingError("non-finite loss")
-        if not np.isfinite(est.net.grad).all():
-            raise TrainingError("non-finite gradient")
+        check_step(loss, est.net.grad)
     except TrainingError as exc:
         exc.kind = est.kind.value
         raise
     return value
+
+
+def check_step(loss: float, grad: np.ndarray) -> None:
+    """Raise TrainingError on a non-finite loss, then on a non-finite gradient."""
+    if not math.isfinite(loss):
+        raise TrainingError("non-finite loss")
+    if not np.isfinite(grad).all():
+        raise TrainingError("non-finite gradient")

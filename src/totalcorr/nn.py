@@ -1,15 +1,14 @@
 """Minimal differentiable building blocks for the variational critics.
 
 A single-hidden-layer ReLU MLP of one or more groups that share one input,
-with hand-written reverse-mode gradients; a conditional diagonal-Gaussian
-density read from the two groups of one such MLP; and the Adam update on one
-flat parameter vector ``theta``, read with the gradient vector ``grad`` that
-backward fills in the same layout. Parameters, gradients, outputs and Adam
-are float64 numpy; a net's activations, and the arithmetic on them, take the
-dtype of its scratch, which the nets of one TC estimator share: float32 for
-the critics of a MINE, NWJ or InfoNCE estimator, float64 for CLUB's heads and
-for every net on its own. Everything is bit-deterministic given identical
-seeds and call order.
+with hand-written reverse-mode gradients; one pass that runs the conditional
+diagonal Gaussians of several two-group MLPs, CLUB's heads, on one batch;
+and the Adam update on one flat parameter vector ``theta``, read with the
+gradient vector ``grad`` that backward fills in the same layout. Parameters,
+gradients, outputs and Adam are float64 numpy; activations, and the
+arithmetic on them, take the dtype of their scratch: float32 for the
+critics of a MINE, NWJ or InfoNCE estimator, float64 otherwise. Everything
+is bit-deterministic given identical seeds and call order.
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ class MlpScratch:
     last row ones, and its (rows, in_dim) view without that row; ``hidden``
     maps (groups, hidden_dim, rows) to the (groups * hidden_dim, rows)
     activation buffer and its (groups, hidden_dim, rows) view.
-    ``token`` counts the forwards and the backwards of every net on it.
+    :meth:`buffers` makes them on first use. ``token`` counts the forwards
+    and the backwards of every net and pass on it.
     ``dtype`` is the buffers' float type, and the type of the arithmetic of
     the forwards and backwards on them; parameters, gradients and outputs
     stay float64.
@@ -69,18 +69,31 @@ class MlpScratch:
     token: int = 0
     dtype: type[np.floating] = np.float64
 
+    def buffers(self, in_dim: int, groups: int, hidden_dim: int, rows: int) -> tuple:
+        """The (x_aug, x, hidden, grouped hidden) buffers and views above."""
+        inputs = self.inputs.get((in_dim, rows))
+        if inputs is None:
+            x_aug = np.empty((in_dim + 1, rows), dtype=self.dtype)
+            x_aug[-1] = 1.0
+            inputs = self.inputs[in_dim, rows] = (x_aug, x_aug[:-1].T)
+        shape = (groups, hidden_dim, rows)
+        hidden = self.hidden.get(shape)
+        if hidden is None:
+            flat = np.empty((groups * hidden_dim, rows), dtype=self.dtype)
+            hidden = self.hidden[shape] = (flat, flat.reshape(shape))
+        return *inputs, *hidden
+
 
 class Mlp:
     """``groups`` nets y_g = w2_g @ relu(w1_g @ x + b1_g) + b2_g on one input,
-    applied row-wise to a batch; a scalar critic has one group.
+    applied row-wise to a batch; a scalar critic has one group, a CLUB head
+    two, the mean and the log-variance, which :class:`GaussianHeads` runs.
 
     ``hidden_dim`` and ``out_dim`` are one group's widths. Group g owns rows
     g*hidden_dim to (g+1)*hidden_dim of ``w1`` and ``b1`` and rows g*out_dim
     to (g+1)*out_dim of ``w2`` and ``b2``, so its hidden block feeds only
     its own outputs; forward returns the groups' outputs side by side,
-    (rows, groups * out_dim). CLUB's q(v | u) is one net of two groups, the
-    mean and the log-variance, so both run in one pass: one first-layer
-    matmul over the stacked hidden array, one ReLU, one mask.
+    (rows, groups * out_dim).
 
     The parameters are views into one vector ``theta``: the first layer as
     one (groups * hidden_dim, in_dim + 1) block ``w1b1`` whose last column
@@ -114,18 +127,19 @@ class Mlp:
     latest forward, once.
 
     Nets that never hold two live caches at once may share one scratch,
-    assigned to each as ``scratch``. The nets of a ``TcEstimator``'s terms
-    do, for every estimator kind, as each term runs its forward and backward
-    before the next term's forward. The critics' scratch is float32, one
+    assigned to each as ``scratch``. The critics of a ``TcEstimator``'s
+    terms do, as each term runs its forward and backward before the next
+    term's forward. The critics' scratch is float32, one
     (20, 4096) activation buffer and one input buffer per input width at
     N = 64, 0.46 to 0.52 MB instead of 4.3 MB with a private float64 scratch
     and mask per critic, so it stays in a 2 MB L2 cache from term to term,
     and each pass over it takes about half its float64 time. CLUB's heads
-    share a float64 one. Every net starts with a float64 scratch of its own.
-    The buffers are kept rather than freed because glibc's malloc hands
-    arrays of this size back to the OS and page-faults them in again on the
-    next step; with fresh arrays per call an InfoNCE ``train_step`` at
-    N = 64 took 1.5 to 2.6 times as long (2-core Xeon, numpy 2.4.6).
+    share a float64 one, which their pass uses. Every net starts with a
+    float64 scratch of its own. The buffers are kept rather than freed
+    because glibc's malloc hands arrays of this size back to the OS and
+    page-faults them in again on the next step; with fresh arrays per call
+    an InfoNCE ``train_step`` at N = 64 took 1.5 to 2.6 times as long
+    (2-core Xeon, numpy 2.4.6).
     """
 
     def __init__(
@@ -146,6 +160,7 @@ class Mlp:
         theta = np.concatenate([p.ravel() for p in (self.w1b1, w2, b2)])
         self._bind(theta, np.zeros_like(theta))
         self.scratch = MlpScratch()
+        self.pair_pass: GaussianHeads | None = None  # a CLUB head's GaussianHeads.of_pair
 
     def _bind(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Make the parameters views of ``theta`` and the gradients views of
@@ -187,26 +202,10 @@ class Mlp:
         w1, w2 = (np.concatenate(blocks) for blocks in zip(*draws))
         return cls(w1, np.zeros(groups * hidden_dim), w2, np.zeros(groups * out_dim), groups)
 
-    def _buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(x_aug, x, hidden, grouped hidden) from the scratch: the input with
-        its ones row, its (rows, in_dim) view without it, the
-        (groups * hidden_dim, rows) array and its (groups, hidden_dim, rows) view."""
-        inputs = self.scratch.inputs.get((self.in_dim, rows))
-        if inputs is None:
-            x_aug = np.empty((self.in_dim + 1, rows), dtype=self.scratch.dtype)
-            x_aug[-1] = 1.0
-            inputs = self.scratch.inputs[self.in_dim, rows] = (x_aug, x_aug[:-1].T)
-        shape = (self.groups, self.hidden_dim, rows)
-        hidden = self.scratch.hidden.get(shape)
-        if hidden is None:
-            flat = np.empty((self.groups * self.hidden_dim, rows), dtype=self.scratch.dtype)
-            hidden = self.scratch.hidden[shape] = (flat, flat.reshape(shape))
-        return *inputs, *hidden
-
     def input_buffer(self, rows: int) -> np.ndarray:
         """The (rows, in_dim) input view for batches of ``rows``, the transpose
         of a C-contiguous array; a batch written here is not copied by forward."""
-        return self._buffers(rows)[1]
+        return self.scratch.buffers(self.in_dim, self.groups, self.hidden_dim, rows)[1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
         """(rows, groups * out_dim) outputs of the (rows, in_dim) batch ``x``,
@@ -219,7 +218,9 @@ class Mlp:
                 f"input must be (batch, {self.in_dim}), got {x.shape}"
             )
         rows = x.shape[0]
-        x_aug, x_view, hidden, hidden_g = self._buffers(rows)
+        x_aug, x_view, hidden, hidden_g = self.scratch.buffers(
+            self.in_dim, self.groups, self.hidden_dim, rows
+        )
         if x is not x_view:
             x_view[...] = x
         dt = x_aug.dtype
@@ -251,29 +252,38 @@ class Mlp:
         np.add.reduce(dout, axis=1, out=self._db2g)
         # relu'(pre) as a 0/1 float mask, the subgradient at 0 defined as 0
         mask = np.greater(hidden, 0.0, out=hidden).reshape(groups, -1, rows)
-        # G_o, dw2[o] and w2[o] * G_o per output o of every group, as the
-        # class docstring derives. dout is cast to the scratch's dtype once,
-        # so x_aug * dout_o and G_o are taken in it: a float64 product would
-        # make numpy run the float64 matmul, and a cast inside the product
-        # makes numpy buffer it
-        dt = x_aug.dtype
-        w1b1 = self._w1b1g.astype(dt, copy=False)  # as forward used it
-        dout = dout.astype(dt, copy=False)
-        for o in range(out_dim):
+        # dout is cast to the scratch's dtype once, so x_aug * dout_o and G_o
+        # are taken in it: a float64 product would make numpy run the float64
+        # matmul, and a cast inside the product makes numpy buffer it
+        self._first_layer_grads(x_aug, mask, dout.astype(x_aug.dtype, copy=False).transpose(0, 2, 1))
+
+    def _first_layer_grads(self, x_aug: np.ndarray, mask: np.ndarray, dout: np.ndarray) -> None:
+        """G_o, dw2[o] and w2[o] * G_o per output o of every group, as the
+        class docstring derives them, into ``grad``: the one backward kernel
+        of every net, and of every head of a :class:`GaussianHeads` pass.
+        ``mask`` is (groups, hidden_dim, rows) and ``dout`` (groups, out_dim,
+        rows), both in ``x_aug``'s dtype."""
+        w1b1 = self._w1b1g.astype(x_aug.dtype, copy=False)  # as forward used it
+        for o in range(dout.shape[1]):
             g = self._dw1b1g if o == 0 else np.empty_like(self._dw1b1g)
-            np.matmul(mask, np.multiply(x_aug, dout[:, None, :, o]).transpose(0, 2, 1), out=g)
+            np.matmul(mask, np.multiply(x_aug, dout[:, o, None, :]).transpose(0, 2, 1), out=g)
             np.add.reduce(w1b1 * g, axis=2, out=self._dw2g[:, o])
             g *= self._w2g[:, o, :, None]
             if o:
                 self._dw1b1g += g
 
 
-class CondGaussianCache(NamedTuple):
-    """The head's cache and its two output blocks on one batch, with the
-    residual ``resid`` = v - mu and ``half_sq`` = 0.5 * resid**2 * inv_var,
-    which the row log-densities, their gradient and CLUB's value all use."""
 
-    net_cache: MlpCache
+class GaussianCache(NamedTuple):
+    """A :class:`GaussianHeads` pass on one batch: ``x`` and ``hidden`` as in
+    :class:`MlpCache`, then the mean, the raw and the clamped log-variance,
+    the inverse variance, v, ``resid`` = v - mu and ``half_sq`` =
+    0.5 * resid**2 * inv_var, feature-major: head j's in ``owner.v_slices[j]``."""
+
+    owner: "GaussianHeads"
+    token: int
+    x: np.ndarray
+    hidden: np.ndarray
     mu: np.ndarray
     logvar_raw: np.ndarray
     logvar: np.ndarray
@@ -283,59 +293,148 @@ class CondGaussianCache(NamedTuple):
     half_sq: np.ndarray
 
 
-def cond_gaussian_forward(head: Mlp, u: np.ndarray, v: np.ndarray) -> CondGaussianCache:
-    """The diagonal Gaussian q(v | u) of a two-group ``head`` on the batch,
-    group 0 the mean and group 1 the raw log-variance, clamped to [-10, 10]:
-    the cache that the row log-densities, CLUB's value and backward work from.
-    The batch is used as ``club_bound`` took it in, unchecked but for v's
-    width, which the head, seeing only u, would not catch."""
-    if head.groups != 2:
-        raise ParameterError(f"a Gaussian head has 2 groups, got {head.groups}")
-    if v.shape[1] != head.out_dim:
-        raise ParameterError(f"v must have width {head.out_dim}, got {v.shape[1]}")
-    out, net_cache = head.forward(u)
-    mu, logvar_raw = out[:, : head.out_dim], out[:, head.out_dim :]
-    logvar = np.minimum(np.maximum(logvar_raw, LOGVAR_MIN), LOGVAR_MAX)
-    inv_var = np.exp(-logvar)
-    resid = v - mu
-    half_sq = 0.5 * resid * resid * inv_var
-    return CondGaussianCache(net_cache, mu, logvar_raw, logvar, inv_var, v, resid, half_sq)
+class GaussianHeads:
+    """CLUB's heads, k two-group Mlps (the mean and the raw log-variance,
+    clamped to [-10, 10]), as one pass over a batch of ``width`` columns:
+    head j reads the columns ``u_cols[j]`` and models the columns
+    ``v_cols[j]``. ``theta`` and ``grad`` hold the heads' parameters and
+    gradients head by head, as :func:`pack_parameters` lays them out.
+
+    The first layer is one matmul of a block that forward gathers from
+    ``theta``, head j's ``w1b1`` in its own rows and in its u and ones
+    columns, zeros elsewhere, so ``theta`` keeps its layout. The ReLU, the
+    mask, the Gaussian stage and the output gradient run once over all
+    heads, feature-major. Per head run the second-layer matmul, the
+    first-layer gradient (``Mlp.backward``'s kernel) and the sums whose
+    order a head alone fixed: numpy sums one column pairwise but a (rows, d)
+    block row by row, so a head with a d > 1 wide v sums its moments, row
+    log-densities, value and output-bias gradient over a row-major copy,
+    all through :meth:`head_sums`. Each head gets the bytes it gets alone.
+    """
+
+    def __init__(self, heads, theta, grad, u_cols, v_cols, width: int):
+        self.heads, self.theta, self.grad, self.width = list(heads), theta, grad, width
+        for head in self.heads:
+            if head.groups != 2:
+                raise ParameterError(f"a Gaussian head has 2 groups, got {head.groups}")
+        self.scratch = self.heads[0].scratch
+        self.x_rows = [np.append(u, width) for u in u_cols]  # each head's input rows of x
+        self.v_rows = np.concatenate(v_cols)
+        widths = [len(v) for v in v_cols]
+        self.starts = np.cumsum(widths) - widths
+        self.v_slices = [slice(a, a + d) for a, d in zip(self.starts, widths)]
+        self.wide = [j for j, d in enumerate(widths) if d > 1]
+        # the gather maps of theta's w1b1 entries into the first-layer block
+        # and of its b2 entries into a (2, sum of widths) array
+        ends = np.cumsum([head.theta.size for head in self.heads])
+        h2 = 2 * self.heads[0].hidden_dim
+        self._w1b1 = np.zeros((h2 * len(self.heads), width + 1))
+        self._w1b1_at = np.concatenate([
+            (np.arange(j * h2, (j + 1) * h2)[:, None] * (width + 1) + x).ravel()
+            for j, x in enumerate(self.x_rows)
+        ])
+        self._w1b1_from = np.concatenate(
+            [np.arange(h.w1b1.size) + e - h.theta.size for e, h in zip(ends, self.heads)]
+        )
+        self._b2_at = np.concatenate(
+            [np.arange(e - h.b2.size, e).reshape(2, -1) for e, h in zip(ends, self.heads)], axis=1
+        )
+
+    @classmethod
+    def of_pair(cls, head: Mlp) -> "GaussianHeads":
+        """The one-head pass of ``head`` on a batch whose columns are u, then
+        v: made on first use and kept on the head as ``pair_pass``, and made
+        again once :func:`pack_parameters` has rebound the head's ``theta``
+        or the head has been given another scratch."""
+        heads = head.pair_pass
+        if heads is None or heads.theta is not head.theta or heads.scratch is not head.scratch:
+            u, v = head.in_dim, head.out_dim
+            heads = head.pair_pass = cls(
+                [head], head.theta, head.grad, [np.arange(u)], [np.arange(u, u + v)], u + v
+            )
+        return heads
+
+    def forward(self, *parts: np.ndarray) -> GaussianCache:
+        """Every head on the batch whose columns are the float64 (rows, ·)
+        ``parts`` side by side, ``width`` in all, taken as they are and
+        written straight into the input buffer."""
+        k, h, rows = len(self.heads), self.heads[0].hidden_dim, parts[0].shape[0]
+        x_aug, x, hidden, _ = self.scratch.buffers(self.width, 2 * k, h, rows)
+        np.concatenate(parts, axis=1, out=x)
+        self._w1b1.reshape(-1)[self._w1b1_at] = self.theta[self._w1b1_from]
+        np.matmul(self._w1b1, x_aug, out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        out = np.empty((2, self.v_rows.size, rows))
+        for head, feats, hidden_j in zip(self.heads, self.v_slices, hidden.reshape(k, 2, h, rows)):
+            np.matmul(head._w2g, hidden_j, out=out[:, feats])
+        out += self.theta[self._b2_at][:, :, None]
+        mu, logvar_raw = out
+        logvar = np.minimum(np.maximum(logvar_raw, LOGVAR_MIN), LOGVAR_MAX)
+        inv_var = np.exp(-logvar)
+        v = x_aug[self.v_rows]
+        resid = v - mu
+        half_sq = 0.5 * resid * resid * inv_var
+        self.scratch.token += 1
+        return GaussianCache(
+            self, self.scratch.token, x_aug, hidden, mu, logvar_raw, logvar, inv_var, v, resid, half_sq
+        )
+
+    def backward(self, cache: GaussianCache, weight: float) -> None:
+        """Gradients of weight * (the sum of every head's row log-densities)
+        into ``grad``; the clamp contributes zero gradient outside [-10, 10].
+        Consumes the cache, as ``Mlp.backward`` does."""
+        if cache.owner is not self or cache.token != self.scratch.token:
+            raise ParameterError("stale cache: backward must follow its own forward")
+        self.scratch.token += 1
+        dout = np.empty((2, *cache.mu.shape))
+        np.multiply(weight * cache.resid, cache.inv_var, out=dout[0])
+        np.multiply(weight, -0.5 + cache.half_sq, out=dout[1])
+        dout[1] *= logvar_passes(cache)
+        self.grad[self._b2_at] = self.head_sums(dout.swapaxes(0, 1), per_feature=True).T
+        mask = np.greater(cache.hidden, 0.0, out=cache.hidden)
+        masks = mask.reshape(len(self.heads), 2, -1, mask.shape[1])
+        for head, x_rows, feats, mask_j in zip(self.heads, self.x_rows, self.v_slices, masks):
+            head._first_layer_grads(cache.x[x_rows], mask_j, dout[:, feats])
+
+    def head_sums(self, a: np.ndarray, per_feature: bool = False) -> np.ndarray:
+        """The sums over the last axis of the feature-major (features, c, m)
+        ``a`` in the order each head alone sums its row-major (c, m, d)
+        block: per feature, (features, c), or over the head's features too,
+        (k, c). numpy sums one column pairwise, but a block with d > 1 row
+        by row per feature and its m * d entries in row-major order, so a
+        wide head sums a row-major copy."""
+        sums = np.add.reduce(a, axis=-1)
+        if not per_feature:
+            sums = sums[self.starts]
+        for j in self.wide:
+            feats = self.v_slices[j]
+            block = np.ascontiguousarray(a[feats].transpose(1, 2, 0))
+            if per_feature:
+                sums[feats] = np.add.reduce(block, axis=1).T
+            else:
+                sums[j] = np.add.reduce(block.reshape(len(block), -1), axis=1)
+        return sums
 
 
-def logvar_passes(cache: CondGaussianCache) -> np.ndarray:
+def logvar_passes(cache: GaussianCache) -> np.ndarray:
     """Where the clamp passes the raw log-variance through, and so its gradient."""
     return (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
 
 
-def cond_gaussian_logpdf(cache: CondGaussianCache) -> np.ndarray:
-    """Row-wise log q(v_i | u_i) from the cache of :func:`cond_gaussian_forward`."""
-    return np.add.reduce(-0.5 * _LOG_2PI - 0.5 * cache.logvar - cache.half_sq, axis=1)
+def cond_gaussian_logpdf(cache: GaussianCache) -> np.ndarray:
+    """Row-wise log q_j(v_i | u_i) of every head j of the pass, (k, rows)."""
+    terms = -0.5 * _LOG_2PI - 0.5 * cache.logvar - cache.half_sq
+    return cache.owner.head_sums(terms[..., None])
 
 
-def cond_gaussian_logpdf_backward(head: Mlp, cache: CondGaussianCache, dlogpdf: np.ndarray) -> None:
-    """Gradients of sum(dlogpdf * logpdf) w.r.t. the head, into ``head.grad``.
-
-    ``dlogpdf`` is a float64 array of one value per row. The gradients of
-    the mean and of the raw log-variance go to one backward, side by side.
-    The clamp contributes zero gradient outside [-10, 10].
-    """
-    w = dlogpdf[:, None]
-    dlogvar = w * (-0.5 + cache.half_sq)
-    dlogvar *= logvar_passes(cache)
-    head.backward(cache.net_cache, np.concatenate((w * cache.resid * cache.inv_var, dlogvar), axis=1))
-
-
-def cond_gaussian_logpdf_matrix(cache: CondGaussianCache) -> np.ndarray:
-    """All-pairs log q(v_j | u_i) as an (N, N) matrix (no gradients).
-
-    Built from the cache of :func:`cond_gaussian_forward` on (u, v) by
-    expanding the squared residual; no network runs again. No production
-    path calls it: CLUB's value comes from batch moments (see
-    ``estimators.club_bound``). It is the all-pairs reference for tests, and
-    the benchmark's tracer looks it up by name.
-    """
-    mu, inv_var, v = cache.mu, cache.inv_var, cache.v
-    const = np.add.reduce(-0.5 * _LOG_2PI - 0.5 * cache.logvar - 0.5 * mu * mu * inv_var, axis=1)
+def cond_gaussian_logpdf_matrix(cache: GaussianCache) -> np.ndarray:
+    """All-pairs log q(v_b | u_a) of a one-head pass as an (N, N) matrix,
+    from the cache, with no gradient. No production path calls it: it is the
+    tests' all-pairs reference, and the benchmark's tracer looks it up by name."""
+    if len(cache.owner.heads) != 1:
+        raise ParameterError(f"takes a one-head pass, got {len(cache.owner.heads)} heads")
+    mu, inv_var, v, logvar = (a.T for a in (cache.mu, cache.inv_var, cache.v, cache.logvar))
+    const = np.add.reduce(-0.5 * _LOG_2PI - 0.5 * logvar - 0.5 * mu * mu * inv_var, axis=1)
     cross = (mu * inv_var) @ v.T
     quad = (0.5 * inv_var) @ (v * v).T
     return const[:, None] + cross - quad
@@ -369,12 +468,10 @@ class AdamState:
 
 
 def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to ``theta`` in place:
-    theta -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps).
-
-    Shapes and the gradient's finiteness are checked before anything moves:
-    on either error ``theta``, the moments and ``step_count`` keep their values.
-    """
+    """One bias-corrected Adam update of ``theta`` in place, :func:`adam_update`,
+    after its checks: shapes and the gradient's finiteness are checked before
+    anything moves, so on either error ``theta``, the moments and
+    ``step_count`` keep their values."""
     if g.shape != theta.shape:
         raise ParameterError(f"gradient shape {g.shape} does not match parameters {theta.shape}")
     if state.m.shape != theta.shape or state.v.shape != theta.shape:
@@ -384,6 +481,12 @@ def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
         )
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient", step=state.step_count + 1)
+    adam_update(theta, g, state)
+
+
+def adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """theta -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps),
+    unchecked: for a caller that has checked every slice of ``g``."""
     state.step_count += 1
     t = state.step_count
     state.m *= ADAM_BETA1

@@ -14,11 +14,11 @@ from totalcorr import (
     solve_rho_for_tc,
     tc_closed_form,
 )
+from totalcorr import decomposition
 from totalcorr.decomposition import (
     DecompositionPlan,
     MiTerm,
     PathKind,
-    _each_term,
     build_plan,
     closed_form_plan_sum,
     make_tc_estimator,
@@ -29,7 +29,7 @@ from totalcorr.diagnostics import make_loss_probes
 from totalcorr.errors import TrainingError
 from totalcorr.estimators import MiEstimatorKind, create_term_estimator
 from totalcorr.gaussian import sample
-from totalcorr.nn import Mlp, MlpScratch, cond_gaussian_forward
+from totalcorr.nn import GaussianHeads, Mlp, MlpScratch
 
 
 def plan_as_tuples(plan: DecompositionPlan):
@@ -331,8 +331,8 @@ def _state(est):
     )
 
 
-def _trained(kind, steps=3):
-    est = make_tc_estimator(build_plan(4, PathKind.TREE), kind, seed=4)
+def _trained(kind, steps=3, path=PathKind.TREE):
+    est = make_tc_estimator(build_plan(4, path), kind, seed=4)
     rng = np.random.default_rng(6)
     model = equicorrelated_sigma(4, 0.5)
     for _ in range(steps):
@@ -359,19 +359,48 @@ class TestAllOrNothingStep:
     def test_non_finite_gradient_in_term_k(self, kind, k, monkeypatch):
         est, batch = _trained(kind)
         net = est.terms[k].net
-        backward = Mlp.backward
+        # a CLUB estimator's heads run one backward, the pass's, for all terms
+        owner = GaussianHeads if kind is MiEstimatorKind.CLUB else Mlp
+        backward = owner.backward
 
         def nan_backward(self, cache, dout):
             backward(self, cache, dout)
-            if self is net:
+            if self is net or self is est.heads:
                 # the last output bias: the log-variance group's in a CLUB head
-                self.grad[-1] = math.nan
+                net.grad[-1] = math.nan
 
-        monkeypatch.setattr(Mlp, "backward", nan_backward)
+        monkeypatch.setattr(owner, "backward", nan_backward)
         before = _state(est)
         with pytest.raises(TrainingError) as info:
             tc_train_step(est, batch)
         assert str(info.value) == f"non-finite gradient [estimator={kind.value}, term={k}, step=4]"
+        assert _state(est) == before
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_non_finite_club_loss_in_head_k(self, k):
+        # a mean so far off that the squared residual overflows: head k's
+        # NLL is inf, while every head runs in the one pass
+        est, batch = _trained(MiEstimatorKind.CLUB)
+        net = est.terms[k].net
+        net.b2[: net.out_dim] = 1e200
+        before = _state(est)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as info:
+            tc_train_step(est, batch)
+        assert str(info.value) == f"non-finite loss [estimator=CLUB, term={k}, step=4]"
+        assert _state(est) == before
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("col, k", [(0, 0), (1, 0), (2, 1), (3, 2)])
+    def test_non_finite_club_batch_entry_charged_to_its_first_reader(self, bad, col, k):
+        # the pass's first layer spreads the entry to every head, yet the
+        # step is charged to the first term that reads its column, the one
+        # that fails first on its own: LINE's term k reads columns 0..k+1
+        est, batch = _trained(MiEstimatorKind.CLUB, path=PathKind.LINE)
+        batch[3, col] = bad
+        before = _state(est)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as info:
+            tc_train_step(est, batch)
+        assert str(info.value) == f"non-finite loss [estimator=CLUB, term={k}, step=4]"
         assert _state(est) == before
 
     def test_first_failure_in_term_order_is_named(self, monkeypatch):
@@ -444,22 +473,20 @@ class TestActivationScratch:
         assert all(np.shares_memory(hidden[0], h) for h in hidden[1:])
 
     @pytest.mark.parametrize("path", list(PathKind))
-    def test_club_terms_share_one_float64_scratch(self, path):
-        # one live cache per term, as for the critics: the heads' two groups
-        # run in one forward, so the terms can share the buffers
+    def test_club_heads_share_one_float64_scratch(self, path):
+        # the pass over all heads keeps its buffers in the terms' one
+        # scratch: one input buffer of the whole batch and one hidden buffer
+        # of every head's two groups, per batch size
         est = make_tc_estimator(build_plan(4, path), MiEstimatorKind.CLUB, seed=0)
         scratch = est.terms[0].net.scratch
         assert scratch.dtype == np.float64
-        assert all(t.net.scratch is scratch for t in est.terms)
+        assert all(t.net.scratch is scratch for t in est.terms) and est.heads.scratch is scratch
         rng = np.random.default_rng(0)
-        hidden = []
-        for t in est.terms:
-            u, v = rng.standard_normal((5, t.u_dim)), rng.standard_normal((5, t.v_dim))
-            hidden.append(cond_gaussian_forward(t.net, u, v).net_cache.hidden)
-        assert hidden[0].shape == (40, 5)
-        assert all(np.shares_memory(hidden[0], h) for h in hidden[1:])
+        cache = est.heads.forward(rng.standard_normal((5, 4)))
+        assert cache.hidden.shape == (3 * 40, 5) and cache.x.shape == (5, 5)
         tc_train_step(est, sample(equicorrelated_sigma(4, 0.5), 64, rng))
-        assert set(scratch.hidden) == {(2, 20, 64), (2, 20, 5)}
+        assert set(scratch.hidden) == {(6, 20, 64), (6, 20, 5)}
+        assert set(scratch.inputs) == {(4, 64), (4, 5)}
 
     @pytest.mark.parametrize("path", list(PathKind))
     @pytest.mark.parametrize("kind", CRITIC_KINDS)
@@ -485,8 +512,8 @@ class TestActivationScratch:
         nets += [create_term_estimator(kind, 2, 1, rng).net for kind in CRITIC_KINDS]
         for probe in make_loss_probes(rng):
             found = inspect.getclosurevars(probe.loss_grad_sig).nonlocals
-            nets.append(found["critic"] if "critic" in found else found["head"])
-        assert len(nets) == 3 + 3 + 3 + 1
+            nets += [found["critic"]] if "critic" in found else [t.net for t in found["est"].terms]
+        assert len(nets) == 3 + 3 + 3 + 3
         assert all(net.scratch.dtype == np.float64 for net in nets)
 
 
@@ -537,11 +564,12 @@ class TestColumnViews:
         [build_plan(4, PathKind.TREE), build_plan(4, PathKind.LINE), block_plan(PathKind.TREE)],
         ids=["TREE", "LINE", "TREE-blocks-2-1-3"],
     )
-    def test_terms_read_views_of_the_batch(self, plan):
+    def test_terms_read_views_of_the_batch(self, plan, monkeypatch):
         est = make_tc_estimator(plan, MiEstimatorKind.NWJ, seed=0)
         batch = np.random.default_rng(2).standard_normal((6, plan.n))
         seen = []
-        _each_term(est, batch, lambda term, u, v: seen.append((u, v)) or 0.0)
+        monkeypatch.setattr(decomposition, "evaluate", lambda term, u, v: seen.append((u, v)) or 0.0)
+        tc_evaluate(est, batch)
 
         def columns(side):
             return [i - 1 for i in side.indices]
@@ -632,7 +660,8 @@ class TestStackedEvaluate:
     def test_training_takes_one_batch_not_a_stack(self):
         est = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.CLUB, seed=0)
         theta = est.theta.copy()
-        with pytest.raises(ParameterError, match="u and v must be 2-d batches"):
+        message = re.escape("training takes one (N, 4) batch, got a stack (2, 8, 4)")
+        with pytest.raises(ParameterError, match=message):
             tc_train_step(est, np.zeros((2, 8, 4)))
         assert est.adam.step_count == 0 and np.array_equal(est.theta, theta)
 

@@ -29,9 +29,9 @@ from totalcorr.decomposition import PathKind, build_plan, make_tc_estimator, tc_
 from totalcorr.gaussian import club_closed_form, equicorrelated_sigma, sample, solve_rho_for_tc
 from totalcorr.nn import (
     AdamState,
+    GaussianHeads,
     Mlp,
     adam_step,
-    cond_gaussian_forward,
     cond_gaussian_logpdf_matrix,
 )
 
@@ -326,9 +326,9 @@ class TestClubValue:
         head = Mlp.initialize(2, 5, 2, rng, groups=2)
         head.b2[2:] += (-700.0, -12.0, 0.0, 9.0, 700.0)[seed % 5]  # past both clamps
         u, v = scale * rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 2))
-        cache = cond_gaussian_forward(head, u, v)
+        cache = GaussianHeads.of_pair(head).forward(np.hstack([u, v]))
         mu, inv_var, vv = ([[Fraction(x) for x in row] for row in a.tolist()]
-                           for a in (cache.mu, cache.inv_var, v))
+                           for a in (cache.mu.T, cache.inv_var.T, v))
         exact = Fraction(0)
         for i in range(n):
             for k in range(2):
@@ -354,7 +354,7 @@ class TestClubValue:
         head = Mlp.initialize(2, 5, 2, rng, groups=2)
         head.b2[2:] += logvar_shift
         u, v = scale * rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 2))
-        logq = cond_gaussian_logpdf_matrix(cond_gaussian_forward(head, u, v))
+        logq = cond_gaussian_logpdf_matrix(GaussianHeads.of_pair(head).forward(np.hstack([u, v])))
         expected = float(np.mean(np.diag(logq)) - np.mean(logq))
         got = club_bound(head, u, v, value_only=True)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9 * float(np.max(np.abs(logq))))
@@ -565,13 +565,15 @@ class TestTrainStep:
     def test_non_finite_gradient_names_kind(self, kind, monkeypatch):
         # the term checks its own gradient as it runs, with no optimizer behind it
         est = create_term_estimator(kind, 1, 1, np.random.default_rng(1))
-        backward = Mlp.backward
+        # a CLUB head's backward is its one-head pass's
+        owner = GaussianHeads if kind is MiEstimatorKind.CLUB else Mlp
+        backward = owner.backward
 
         def nan_backward(self, cache, dout):
             backward(self, cache, dout)
             self.grad[0] = math.nan
 
-        monkeypatch.setattr(Mlp, "backward", nan_backward)
+        monkeypatch.setattr(owner, "backward", nan_backward)
         before = est.net.theta.copy()
         rng = np.random.default_rng(2)
         with pytest.raises(TrainingError) as info:
@@ -635,35 +637,35 @@ class TestTrainStep:
         evaluate(est, u, v)
         assert len(calls) == 2
 
-    def test_club_runs_one_forward_per_term(self, monkeypatch):
+    def test_club_runs_one_pass_per_step(self, monkeypatch):
         # value, loss and gradient of a CLUB step all come from one forward
-        # and one backward of the head, both groups at once, and evaluation
-        # needs one forward
+        # and one backward of the pass, which for a lone head is its one-head
+        # pass and for a TC estimator covers all its heads; evaluation, of a
+        # batch or of a stack, needs one forward. No Mlp forward or backward
+        # runs.
         rng = np.random.default_rng(17)
+        calls = []
+        for owner in (Mlp, GaussianHeads):
+            for name in ("forward", "backward"):
+                def counting(self, *args, _original=getattr(owner, name), _name=name):
+                    calls.append((type(self).__name__, _name))
+                    return _original(self, *args)
+
+                monkeypatch.setattr(owner, name, counting)
         est = create_term_estimator(MiEstimatorKind.CLUB, 2, 1, rng)
         u, v = rng.standard_normal((16, 2)), rng.standard_normal((16, 1))
-        calls = []
-        forward, backward = Mlp.forward, Mlp.backward
-
-        def counting_forward(self, x):
-            calls.append(("forward", self))
-            return forward(self, x)
-
-        def counting_backward(self, cache, dout):
-            calls.append(("backward", self))
-            return backward(self, cache, dout)
-
-        monkeypatch.setattr(Mlp, "forward", counting_forward)
-        monkeypatch.setattr(Mlp, "backward", counting_backward)
+        pass_step = [("GaussianHeads", "forward"), ("GaussianHeads", "backward")]
         train_step(est, u, v)
-        assert calls == [("forward", est.net), ("backward", est.net)]
+        assert calls == pass_step
         calls.clear()
         evaluate(est, u, v)
-        assert calls == [("forward", est.net)]
-        # a stack of batches too, one head pass over all its rows
-        calls.clear()
         evaluate(est, np.stack([u] * 3), np.stack([v] * 3))
-        assert calls == [("forward", est.net)]
+        assert calls == [("GaussianHeads", "forward")] * 2
+        tc = make_tc_estimator(build_plan(4, PathKind.TREE), MiEstimatorKind.CLUB, seed=0)
+        batch = sample(equicorrelated_sigma(4, 0.5), 16, rng)
+        calls.clear()
+        tc_train_step(tc, batch)
+        assert calls == pass_step
 
 
 class TestStackedEvaluate:

@@ -22,10 +22,10 @@ from totalcorr.nn import (
     AdamState,
     Mlp,
     MlpScratch,
+    GaussianHeads,
     adam_step,
-    cond_gaussian_forward,
+    adam_update,
     cond_gaussian_logpdf,
-    cond_gaussian_logpdf_backward,
     cond_gaussian_logpdf_matrix,
     pack_parameters,
 )
@@ -36,8 +36,13 @@ def pack(w1, b1, w2, b2):
     return np.concatenate([np.column_stack([w1, b1]).ravel(), w2.ravel(), b2])
 
 
+def head_forward(head, u, v):
+    """The cache of the one-head pass of ``head`` on the batch (u, v)."""
+    return GaussianHeads.of_pair(head).forward(np.hstack([u, v]))
+
+
 def logpdf_rows(head, u, v):
-    return cond_gaussian_logpdf(cond_gaussian_forward(head, u, v))
+    return cond_gaussian_logpdf(head_forward(head, u, v))[0]
 
 
 def constant_head(u_dim=1, v_dim=1, logvar_bias=0.0):
@@ -425,12 +430,12 @@ class TestCondGaussian:
         head = Mlp.initialize(2, 4, 3, rng, groups=2)
         u = rng.standard_normal((5, 2))
         v = rng.standard_normal((5, 3))
-        weights = rng.standard_normal(5)
+        weight = -0.7
 
         def loss_grad_sig():
-            cache = cond_gaussian_forward(head, u, v)
-            cond_gaussian_logpdf_backward(head, cache, weights)
-            return float((cond_gaussian_logpdf(cache) * weights).sum()), head.grad, b""
+            cache = head_forward(head, u, v)
+            cache.owner.backward(cache, weight)
+            return float(weight * cond_gaussian_logpdf(cache).sum()), head.grad, b""
 
         assert fd_report(LossProbe("head", head.theta, loss_grad_sig)).worst_raw < 1e-4
 
@@ -442,8 +447,8 @@ class TestCondGaussian:
 
     def test_clamped_logvar_has_zero_gradient(self):
         head = constant_head(logvar_bias=1e4)
-        cache = cond_gaussian_forward(head, np.zeros((2, 1)), np.ones((2, 1)))
-        cond_gaussian_logpdf_backward(head, cache, np.ones(2))
+        cache = head_forward(head, np.zeros((2, 1)), np.ones((2, 1)))
+        cache.owner.backward(cache, 1.0)
         assert np.array_equal(head.db2[head.out_dim :], np.zeros(1))
 
     @pytest.mark.parametrize(
@@ -461,14 +466,42 @@ class TestCondGaussian:
     def test_one_group_net_rejected(self):
         net = Mlp.initialize(1, 3, 1, np.random.default_rng(0))
         with pytest.raises(ParameterError, match="a Gaussian head has 2 groups, got 1"):
-            cond_gaussian_forward(net, np.zeros((2, 1)), np.zeros((2, 1)))
+            GaussianHeads.of_pair(net)
+
+    def test_pairwise_matrix_takes_a_one_head_pass(self):
+        rng = np.random.default_rng(7)
+        heads = [Mlp.initialize(1, 4, 1, rng, groups=2) for _ in range(2)]
+        theta, grad = pack_parameters(heads)
+        u_cols, v_cols = [np.arange(1)] * 2, [np.arange(1, 2), np.arange(2, 3)]
+        cache = GaussianHeads(heads, theta, grad, u_cols, v_cols, 3).forward(np.ones((4, 3)))
+        with pytest.raises(ParameterError, match="takes a one-head pass, got 2 heads"):
+            cond_gaussian_logpdf_matrix(cache)
+
+    def test_one_head_pass_is_kept_until_the_head_is_rebound(self):
+        # club_bound makes a head's pass once, not on every call, and makes
+        # it again only for a new theta or a new scratch
+        rng = np.random.default_rng(3)
+        head = Mlp.initialize(2, 4, 1, rng, groups=2)
+        u, v = rng.standard_normal((6, 2)), rng.standard_normal((6, 1))
+        before = club_bound(head, u, v)
+        first = GaussianHeads.of_pair(head)
+        assert head.pair_pass is first and GaussianHeads.of_pair(head) is first
+        old_grad = head.grad.copy()
+        pack_parameters([head])
+        assert club_bound(head, u, v) == before
+        second = GaussianHeads.of_pair(head)
+        assert second is not first and second.theta is head.theta
+        assert np.array_equal(head.grad, old_grad)
+        head.scratch = MlpScratch()
+        assert GaussianHeads.of_pair(head) is not second
+        assert club_bound(head, u, v) == before
 
     def test_pairwise_matrix_matches_rowwise(self):
         rng = np.random.default_rng(7)
         head = Mlp.initialize(2, 4, 2, rng, groups=2)
         u = rng.standard_normal((6, 2))
         v = rng.standard_normal((6, 2))
-        mat = cond_gaussian_logpdf_matrix(cond_gaussian_forward(head, u, v))
+        mat = cond_gaussian_logpdf_matrix(head_forward(head, u, v))
         for i in range(6):
             for j in range(6):
                 lp = logpdf_rows(head, u[i : i + 1], v[j : j + 1])
@@ -535,6 +568,19 @@ class TestAdam:
         # nothing moved, and the count is the one before the failed step
         assert state.step_count == 1
         assert all(np.array_equal(a, b) for a, b in zip((theta, state.m, state.v), before))
+
+    def test_update_is_the_step_without_its_checks(self):
+        # tc_train_step calls the update body, as its terms have checked
+        # every slice of the gradient; a direct adam_step checks it first
+        rng = np.random.default_rng(11)
+        theta, g = rng.standard_normal(6), rng.standard_normal(6)
+        checked, unchecked = theta.copy(), theta.copy()
+        states = [AdamState.for_params(theta, lr=1e-3) for _ in range(2)]
+        for _ in range(3):
+            adam_step(checked, g, states[0])
+            adam_update(unchecked, g, states[1])
+        assert checked.tobytes() == unchecked.tobytes() and states[0].step_count == states[1].step_count == 3
+        assert all(getattr(states[0], a).tobytes() == getattr(states[1], a).tobytes() for a in "mv")
 
     def test_gradient_shape_mismatch_rejected(self):
         theta = np.zeros(3)

@@ -5,10 +5,12 @@ trained all terms of a TcEstimator: every term has its own AdamState and is
 updated right after its own bound, and the bounds reduce with numpy's Python
 wrappers (np.mean, np.diag, np.sum, np.max, np.clip). Its CLUB head is two
 nets, a mean net and a log-variance net with a scratch each, as the package
-built it before they became the two groups of one net. The package must give
-the same bytes: the ufunc calls it makes instead are the reductions those
+built it before they became the two groups of one net, run term by term,
+before one pass ran all heads of an estimator. The package must give the
+same bytes: the ufunc calls it makes instead are the reductions those
 wrappers make, in the same order, a group of one net computes what the net
-of its rows computes, and Adam's arithmetic is elementwise.
+of its rows computes, a head's block of the pass's first layer computes
+what the head computes alone, and Adam's arithmetic is elementwise.
 """
 
 from typing import NamedTuple
@@ -46,11 +48,9 @@ from totalcorr.nn import (
     LOGVAR_MAX,
     LOGVAR_MIN,
     AdamState,
+    GaussianHeads,
     Mlp,
     adam_step,
-    cond_gaussian_forward,
-    cond_gaussian_logpdf,
-    logvar_passes,
     pack_parameters,
 )
 
@@ -186,30 +186,47 @@ def wrapped_forward(head, u, v):
     return TwoNetCache(mu_cache, logvar_cache, mu, logvar_raw, logvar, inv_var, v, resid, half_sq)
 
 
+def wrapped_logpdf(cache):
+    return np.sum(-0.5 * math.log(2.0 * math.pi) - 0.5 * cache.logvar - cache.half_sq, axis=1)
+
+
 def two_net_backward(head, cache, dlogpdf):
     """The gradient of sum(dlogpdf * logpdf), one backward per net."""
     w = dlogpdf[:, None]
     dmu = w * cache.resid * cache.inv_var
     dlogvar = w * (-0.5 + cache.half_sq)
-    dlogvar *= logvar_passes(cache)
+    dlogvar *= (cache.logvar_raw >= LOGVAR_MIN) & (cache.logvar_raw <= LOGVAR_MAX)
     head.mu_net.backward(cache.mu_cache, dmu)
     head.logvar_net.backward(cache.logvar_cache, dlogvar)
 
 
-def wrapped_club(head, u, v, value_only=False):
-    cache = wrapped_forward(head, u, v)
+def wrapped_club_value(cache, v):
     # the all-pairs mean from v's column means and biased variances
     m1 = np.mean(v, axis=0)
     s = np.mean((v - m1) * (v - m1), axis=0)
     gap = m1 - cache.mu
     contrast = 0.5 * cache.inv_var * (s + gap * gap) - cache.half_sq
-    value = float(np.sum(contrast) / v.shape[0])
+    return float(np.sum(contrast) / v.shape[0])
+
+
+def wrapped_club(head, u, v, value_only=False):
+    cache = wrapped_forward(head, u, v)
+    value = wrapped_club_value(cache, v)
     if value_only:
         return value
-    logpdf = cond_gaussian_logpdf(cache)
+    logpdf = wrapped_logpdf(cache)
     n = logpdf.shape[0]
     two_net_backward(head, cache, np.full(n, -1.0 / n))
     return value, -float(np.mean(logpdf))
+
+
+def wrapped_club_stack(head, u, v, n):
+    """The values of the batches of n rows of (u, v), from one forward of
+    each net over all their rows, as the package evaluates a stack."""
+    cache = wrapped_forward(head, u, v)
+    rows = [slice(b, b + n) for b in range(0, len(u), n)]
+    fields = ("mu", "inv_var", "half_sq")
+    return [wrapped_club_value(cache._replace(**{f: getattr(cache, f)[r] for f in fields}), v[r]) for r in rows]
 
 
 def oracle_term(term, net, u, v, value_only):
@@ -318,16 +335,18 @@ class TestBoundsMatchTheWrapperForms:
         two.logvar_net.b2 += shift
         rng = np.random.default_rng(seed)
         u, v = rng.standard_normal((n, u_dim)), rng.standard_normal((n, v_dim))
-        got, want = cond_gaussian_forward(head, u, v), wrapped_forward(two, u, v)
+        # the one-head pass holds the arrays feature-major
+        heads = GaussianHeads.of_pair(head)
+        got, want = heads.forward(np.hstack([u, v])), wrapped_forward(two, u, v)
         for name in ("mu", "logvar_raw", "logvar", "inv_var", "v", "resid", "half_sq"):
-            assert as_bytes(getattr(got, name)) == as_bytes(getattr(want, name)), name
-        assert got.net_cache.x.tobytes() == want.mu_cache.x.tobytes() == want.logvar_cache.x.tobytes()
-        assert got.net_cache.hidden.tobytes() == np.vstack(
+            assert as_bytes(getattr(got, name).T) == as_bytes(getattr(want, name)), name
+        assert got.x[heads.x_rows[0]].tobytes() == want.mu_cache.x.tobytes() == want.logvar_cache.x.tobytes()
+        assert got.hidden.tobytes() == np.vstack(
             [want.mu_cache.hidden, want.logvar_cache.hidden]
         ).tobytes()
-        logpdf = cond_gaussian_logpdf(want)
+        logpdf = wrapped_logpdf(want)
         two_net_backward(two, want, np.full(n, -1.0 / n))
-        assert as_bytes(_club_nll(head, got)) == as_bytes(-float(np.add.reduce(logpdf) / n))
+        assert as_bytes(float(_club_nll(got)[0])) == as_bytes(-float(np.add.reduce(logpdf) / n))
         assert head.grad.tobytes() == two.grouped(two.grad).tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -347,8 +366,8 @@ class TestBoundsMatchTheWrapperForms:
         head = Mlp.initialize(1, 3, raw.size, rng, groups=2)
         head.w2[raw.size :] = 0.0
         head.b2[raw.size :] = raw
-        cache = cond_gaussian_forward(head, np.ones((2, 1)), np.zeros((2, raw.size)))
-        assert np.array_equal(cache.logvar_raw, np.vstack([raw, raw]), equal_nan=True)
+        cache = GaussianHeads.of_pair(head).forward(np.hstack([np.ones((2, 1)), np.zeros((2, raw.size))]))
+        assert np.array_equal(cache.logvar_raw.T, np.vstack([raw, raw]), equal_nan=True)
         assert cache.logvar.tobytes() == np.clip(cache.logvar_raw, LOGVAR_MIN, LOGVAR_MAX).tobytes()
 
 
@@ -366,10 +385,31 @@ PLANS = [
         ),
         id="TREE-blocks-2-1-3",
     ),
+    # sides {1, 3} and {2, 4} are no single range of columns: index arrays
+    pytest.param(
+        DecompositionPlan(
+            4,
+            PathKind.TREE,
+            (
+                MiTerm(IndexSet.of(1, 3), IndexSet.of(2, 4)),
+                MiTerm(IndexSet.of(1), IndexSet.of(3)),
+                MiTerm(IndexSet.of(2), IndexSet.of(4)),
+            ),
+        ),
+        id="TREE-index-arrays",
+    ),
+    pytest.param(DecompositionPlan(4, PathKind.TREE, (MiTerm(IndexSet.of(1, 2), IndexSet.of(3, 4)),)), id="one-term"),
 ]
 
 
-def run_against_the_per_term_path(plan, kind, steps, batch_size, model, lr=1e-3):
+def side(batch, cols):
+    """A term's side of the batch as one row-major block: a view for a range
+    of columns, a C-ordered copy for an index array, whose fancy-indexed
+    copy numpy lays out column by column. CLUB sums a wide v row by row."""
+    return batch[:, cols] if isinstance(cols, slice) else np.ascontiguousarray(batch[:, cols])
+
+
+def run_against_the_per_term_path(plan, kind, steps, batch_size, model, lr=1e-3, stack=0):
     """Train a TcEstimator and the per-term oracle side by side, asserting
     the same bytes at each step and at the end. The oracle's terms share the
     fused estimator's start: a CLUB term's as the :class:`TwoNetHead` of its
@@ -384,7 +424,7 @@ def run_against_the_per_term_path(plan, kind, steps, batch_size, model, lr=1e-3)
     def oracle_values(batch, value_only):
         values = np.empty(oracle.n_terms)
         for k, (term, net) in enumerate(zip(oracle.terms, nets)):
-            u, v = batch[:, oracle.left_cols[k]], batch[:, oracle.right_cols[k]]
+            u, v = side(batch, oracle.left_cols[k]), side(batch, oracle.right_cols[k])
             values[k] = oracle_term(term, net, u, v, value_only)
             if not value_only:
                 adam_step(net.theta, net.grad, adams[k])
@@ -398,6 +438,15 @@ def run_against_the_per_term_path(plan, kind, steps, batch_size, model, lr=1e-3)
         assert as_bytes(tc_train_step(fused, batch)) == as_bytes(oracle_values(batch, False))
     batch = sample(model, batch_size, rng)
     assert as_bytes(tc_evaluate(fused, batch)) == as_bytes(oracle_values(batch, True))
+    if stack:
+        # a CLUB stack: each net runs once over all its rows
+        batches = sample(model, stack * batch_size, rng)
+        values = np.array([
+            wrapped_club_stack(net, side(batches, oracle.left_cols[k]), side(batches, oracle.right_cols[k]), batch_size)
+            for k, net in enumerate(nets)
+        ]).T
+        want = (np.add.reduce(values, axis=-1), values)
+        assert as_bytes(tc_evaluate(fused, batches.reshape(stack, batch_size, -1))) == as_bytes(want)
 
     assert fused.theta.tobytes() == fused_layout([net.theta for net in nets]).tobytes()
     assert fused.adam.m.tobytes() == fused_layout([a.m for a in adams]).tobytes()
@@ -423,3 +472,11 @@ def test_club_theta_after_300_steps_matches_the_two_net_heads(path):
     # the workload's batch of 64 at truth 2, long enough for the heads to move
     model = equicorrelated_sigma(4, solve_rho_for_tc(4, 2.0))
     run_against_the_per_term_path(build_plan(4, path), MiEstimatorKind.CLUB, 300, 64, model)
+
+
+@pytest.mark.parametrize("n", [2, 17, 64])
+@pytest.mark.parametrize("plan", PLANS)
+def test_club_pass_matches_the_two_net_heads_term_by_term(plan, n):
+    # training and a stack of 16 batches at batch sizes that are, and are
+    # not, multiples of the BLAS's blocking
+    run_against_the_per_term_path(plan, MiEstimatorKind.CLUB, 20, n, equicorrelated_sigma(plan.n, 0.6), stack=16)
